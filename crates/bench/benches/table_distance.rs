@@ -2,9 +2,8 @@
 //! kernel, on generated road networks at |V| ∈ {10k, 30k, 100k}.
 //!
 //! **Modules** — the four heap-driven searches (Dijkstra, BiDijkstra,
-//! ALT-A*, the exact-NVD construction sweep) plus `one_to_many`, the
-//! batched distance-table shape the serving pre-pass runs per keyword
-//! group (many sources against one shared target set).
+//! ALT-A*, the exact-NVD construction sweep) plus `one_to_many`: many
+//! sources against one shared target set (a keyword's generators).
 //!
 //! **Layouts** — each network is renumbered with [`Relabeling`] before
 //! measuring: `original` (generator order), `bfs` (frontier locality) and
@@ -583,7 +582,7 @@ fn main() {
             }
 
             // One-to-many: per-query Dijkstra vs PHAST/RPHAST sweeps
-            // against the generator set (the serving pre-pass shape).
+            // against the generator set.
             {
                 let mut d = Dijkstra::new(g.num_vertices());
                 let qps = measure(sources.len(), || {

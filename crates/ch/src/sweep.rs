@@ -20,8 +20,7 @@
 //! computed once per target set and reused across every source in a batch.
 //!
 //! Distances are exact (CH preserves shortest paths), so swapping a
-//! per-query Dijkstra for a sweep is invisible in results — the property
-//! the serving layer's determinism certificate relies on.
+//! per-query Dijkstra for a sweep is invisible in results.
 
 use kspin_graph::{weight_add, DaryHeap, HeapCounters, VertexId, Weight, INFINITY};
 
@@ -53,8 +52,8 @@ impl SweepCounters {
 /// The union of the upward search spaces of a target set, in descending
 /// contraction-rank order — the restricted sweep domain of RPHAST.
 ///
-/// Built once per target set (e.g. per keyword group in a serving batch)
-/// and shared by every source sweeping against those targets.
+/// Built once per target set (e.g. one keyword's generators) and shared
+/// by every source sweeping against those targets.
 #[derive(Debug, Clone)]
 pub struct RestrictedTargets {
     /// The targets, in the caller's order (output order of

@@ -62,7 +62,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         let mut heaps: Vec<InvertedHeap<'_>> = terms
             .iter()
             .copied()
-            .filter_map(|t| self.make_heap(t, ctx))
+            .filter_map(|t| InvertedHeap::create(self.index, t, ctx))
             // ALLOC-OK: heap generation — one |ψ|-bounded Vec per query;
             // the extraction loop below never grows it.
             .collect();
@@ -147,7 +147,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             // ALLOC-OK: an empty Vec::new never touches the allocator.
             return Vec::new();
         }
-        let Some(mut heap) = self.make_heap(driver, ctx) else {
+        let Some(mut heap) = InvertedHeap::create(self.index, driver, ctx) else {
             // ALLOC-OK: an empty Vec::new never touches the allocator.
             return Vec::new();
         };

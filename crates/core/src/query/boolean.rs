@@ -146,7 +146,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         let mut heaps: Vec<InvertedHeap<'_>> = driving
             .iter()
             .copied()
-            .filter_map(|t| self.make_heap(t, &ctx))
+            .filter_map(|t| InvertedHeap::create(self.index, t, &ctx))
             // ALLOC-OK: heap generation — one |ψ|-bounded Vec per query;
             // the extraction loop below never grows it.
             .collect();

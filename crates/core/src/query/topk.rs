@@ -92,7 +92,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         let mut heaps: Vec<Option<InvertedHeap<'_>>> = query
             .terms()
             .iter()
-            .map(|&t| self.make_heap(t, &ctx))
+            .map(|&t| InvertedHeap::create(self.index, t, &ctx))
             // ALLOC-OK: heap generation — one |ψ|-bounded Vec per query;
             // the extraction loop below never grows it.
             .collect();

@@ -33,7 +33,6 @@ fn world(n: usize, seed: u64, rho: usize) -> World {
         &KspinConfig {
             rho,
             num_threads: 2,
-            ..KspinConfig::default()
         },
     );
     World {
@@ -381,7 +380,6 @@ fn results_stay_exact_after_lazy_insertions() {
         &KspinConfig {
             rho: 5,
             num_threads: 2,
-            ..KspinConfig::default()
         },
     );
     let mut dist = DijkstraDistance::new(&w0.graph);
@@ -418,7 +416,6 @@ fn results_stay_exact_after_deletions() {
         &KspinConfig {
             rho: 5,
             num_threads: 2,
-            ..KspinConfig::default()
         },
     );
     // Delete every 5th object.
@@ -467,7 +464,6 @@ fn rebuild_after_updates_preserves_results() {
         &KspinConfig {
             rho: 5,
             num_threads: 2,
-            ..KspinConfig::default()
         },
     );
     let mut dist = DijkstraDistance::new(&w.graph);

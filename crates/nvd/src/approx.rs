@@ -180,8 +180,7 @@ impl ApproxNvd {
 
     /// The quadtree's point-location as a stable *cell id*: the index of
     /// the Morton-list leaf covering `p`. Two query vertices in the same
-    /// leaf share candidates (Definition 1), which is what makes the leaf
-    /// id a valid cache key for seed memoization — it only changes when the
+    /// leaf share candidates (Definition 1); the id only changes when the
     /// quadtree itself is rebuilt.
     pub fn leaf_index(&self, p: Point) -> u32 {
         let code = self.space.code(p);
@@ -220,8 +219,7 @@ impl ApproxNvd {
     /// [`ApproxNvd::init_candidates`] keyed by leaf id instead of
     /// coordinate: the query-independent seed set of one source cell
     /// (Theorem 1's initialization, §6.2's attached inserts included),
-    /// sorted ascending and duplicate-free. This is the exact value the
-    /// cross-query heap-seed cache memoizes per (keyword, leaf).
+    /// sorted ascending and duplicate-free.
     pub fn init_candidates_of_leaf(&self, leaf: u32) -> Vec<u32> {
         let base = self.leaf_candidates_of(leaf);
         let mut out: Vec<u32> = base.to_vec();

@@ -27,7 +27,6 @@ fn build_system(n: usize, seed: u64) -> KspinSystem {
     let (corpus, vocab) = gen_corpus(&cc);
     let config = KspinConfig {
         rho: 4,
-        seed_cache: SeedCacheConfig::enabled(),
         ..KspinConfig::default()
     };
     KspinSystem::build(graph, corpus, vocab, &config)
@@ -127,6 +126,75 @@ fn updates_applied_before_save_survive_the_round_trip() {
     // Canonical even with a live update overlay.
     let bytes2 = loaded.save_snapshot(&SnapshotExtras::default());
     assert_eq!(bytes, bytes2);
+}
+
+/// Save → load after `rebuild_term` changed keyword kinds. A rebuild
+/// that turns an NVD keyword into a small list (or drops it, or grows a
+/// small list back into an NVD) must keep the index's nvd/small counts in
+/// step, or the saved meta contradicts the kinds table and the load is
+/// refused.
+#[test]
+fn rebuild_term_kind_changes_survive_the_round_trip() {
+    use kspin_core::index::KeywordIndex;
+
+    let mut system = build_system(900, 11);
+    let rho = system.index.rho();
+    let nvd_terms: Vec<TermId> = (0..system.corpus.num_terms() as TermId)
+        .filter(|&t| matches!(system.index.entry(t), Some(KeywordIndex::Nvd(_))))
+        .collect();
+    assert!(nvd_terms.len() >= 2, "fixture has too few NVD keywords");
+    let objects_of = |s: &KspinSystem, t: TermId| -> Vec<ObjectId> {
+        s.corpus.inverted(t).iter().map(|p| p.object).collect()
+    };
+    let round_trip = |s: &KspinSystem, step: &str| {
+        let bytes = s.save_snapshot(&SnapshotExtras::default());
+        let (loaded, _) = KspinSystem::load_snapshot(&bytes)
+            .unwrap_or_else(|e| panic!("{step}: reload refused: {e}"));
+        assert_eq!(loaded.index.stats().nvd_terms, s.index.stats().nvd_terms);
+        assert_eq!(
+            loaded.index.stats().small_terms,
+            s.index.stats().small_terms
+        );
+        assert_eq!(
+            serve(s, 20),
+            serve(&loaded, 20),
+            "{step}: reload serves differently"
+        );
+    };
+
+    // NVD → Small: delete all but two objects, fold the deletes in.
+    let t = nvd_terms[0];
+    let objects = objects_of(&system, t);
+    for &o in &objects[2..] {
+        system.index.delete_from_term(o, t);
+    }
+    system.index.rebuild_term(&system.graph, &system.corpus, t);
+    assert!(matches!(
+        system.index.entry(t),
+        Some(KeywordIndex::Small(_))
+    ));
+    round_trip(&system, "nvd -> small");
+
+    // Small → NVD: re-insert the deleted objects past ρ, then rebuild.
+    let mut dist = DijkstraDistance::new(&system.graph);
+    for &o in &objects[2..] {
+        system
+            .index
+            .insert_into_term(&system.graph, &system.corpus, o, t, &mut dist);
+    }
+    assert!(objects.len() > rho);
+    system.index.rebuild_term(&system.graph, &system.corpus, t);
+    assert!(matches!(system.index.entry(t), Some(KeywordIndex::Nvd(_))));
+    round_trip(&system, "small -> nvd");
+
+    // NVD → none: delete every object of a second keyword.
+    let t2 = nvd_terms[1];
+    for o in objects_of(&system, t2) {
+        system.index.delete_from_term(o, t2);
+    }
+    system.index.rebuild_term(&system.graph, &system.corpus, t2);
+    assert!(system.index.entry(t2).is_none());
+    round_trip(&system, "nvd -> none");
 }
 
 fn small_snapshot() -> Vec<u8> {
