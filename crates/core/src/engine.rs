@@ -86,11 +86,9 @@ impl AddAssign for QueryStats {
 /// Reusable scratch buffers for the query hot loops (lint
 /// `no-alloc-in-hot-loop`): allocated once per engine, cleared per query,
 /// and grown to high-water capacity — never reallocated per iteration of
-/// the Algorithm 1/3 candidate loops.
-///
-/// Safe to move in and out with `std::mem::take` because the inverted
-/// heaps borrow the index through the engine's `'a` references, not
-/// through the engine itself.
+/// the Algorithm 1/3 candidate loops. The loops borrow them alongside the
+/// engine's other fields: the inverted heaps borrow the index through the
+/// engine's `'a` references, not through the engine itself.
 #[derive(Debug, Default)]
 pub(crate) struct QueryScratch {
     /// Per-heap MINKEY snapshot for Algorithm 3's selection scan.

@@ -333,6 +333,7 @@ impl KspinIndex {
     ///   and hold no duplicate object; `NvdIndex`'s local↔corpus id
     ///   mapping is a bijection sized to the NVD's object set.
     /// * Vertex agreement — each indexed object sits on its corpus vertex.
+    /// * Document agreement — each indexed object's document holds `t`.
     /// * The per-NVD structural audit [`ApproxNvd::validate`] (adjacency
     ///   symmetry — Observation 2a — plus quadtree candidate invariants),
     ///   with violations prefixed by the owning keyword.
@@ -363,6 +364,9 @@ impl KspinIndex {
                     for (i, &o) in s.objects.iter().enumerate() {
                         if s.objects[..i].contains(&o) {
                             errs.push(format!("term {t}: object {o} appears twice in Small index"));
+                        }
+                        if !corpus.contains(o, t) {
+                            errs.push(format!("term {t}: object {o}'s document lacks the keyword"));
                         }
                         if s.vertices[i] != corpus.vertex_of(o) {
                             errs.push(format!(
@@ -398,6 +402,9 @@ impl KspinIndex {
                     }
                     for (l, &o) in n.corpus_ids.iter().enumerate() {
                         let l = l as u32;
+                        if !corpus.contains(o, t) {
+                            errs.push(format!("term {t}: object {o}'s document lacks the keyword"));
+                        }
                         if n.local_of.get(&o) != Some(&l) {
                             errs.push(format!(
                                 "term {t}: corpus_ids[{l}] = {o} but local_of[{o}] = {:?}",
@@ -458,11 +465,15 @@ impl KspinIndex {
     }
 
     /// Adds object `o` to keyword `t`'s index ("adding a keyword to an
-    /// existing object" in §6.2).
+    /// existing object" in §6.2). The corpus is immutable, so `o`'s
+    /// document must already hold `t`: this (re-)indexes a keyword the
+    /// document has, e.g. one removed by [`KspinIndex::delete_from_term`].
     ///
     /// # Panics
-    /// If `o` is already live in keyword `t`'s index — inserting a present
-    /// object would double-count it in every query touching `t`.
+    /// If `o`'s document lacks `t` — queries would then disagree on `o`
+    /// (∨ trusts the index, ∧ and top-k read the document). If `o` is
+    /// already live in keyword `t`'s index — inserting a present object
+    /// would double-count it in every query touching `t`.
     pub fn insert_into_term(
         &mut self,
         graph: &Graph,
@@ -471,6 +482,10 @@ impl KspinIndex {
         t: TermId,
         dist: &mut dyn NetworkDistance,
     ) {
+        assert!(
+            corpus.contains(o, t),
+            "object {o}'s document lacks keyword {t}"
+        );
         let vertex = corpus.vertex_of(o);
         if (t as usize) >= self.entries.len() {
             self.entries.resize_with(t as usize + 1, || None);
@@ -588,6 +603,20 @@ impl KspinIndex {
         *slot = Some(fresh);
     }
 
+    /// Whether object `o` is live in keyword `t`'s index.
+    pub(crate) fn is_live(&self, o: ObjectId, t: TermId) -> bool {
+        match self.entry(t) {
+            None => false,
+            Some(KeywordIndex::Small(s)) => s
+                .objects
+                .iter()
+                .position(|&x| x == o)
+                // PANIC-OK: i < objects.len() from position(); alive is parallel.
+                .is_some_and(|i| s.alive[i]),
+            Some(KeywordIndex::Nvd(n)) => n.local_of.get(&o).is_some_and(|&l| !n.apx.is_deleted(l)),
+        }
+    }
+
     /// Live object count in `t`'s index (0 when the keyword is unused).
     pub fn live_count(&self, t: TermId) -> usize {
         match self.entry(t) {
@@ -608,5 +637,40 @@ pub fn small_fraction(stats: &BuildStats) -> f64 {
         0.0
     } else {
         stats.small_terms as f64 / total as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kspin_graph::GraphBuilder;
+    use kspin_text::CorpusBuilder;
+
+    #[test]
+    fn validate_names_an_indexed_object_whose_document_lacks_the_keyword() {
+        let mut gb = GraphBuilder::new(3);
+        gb.add_edge(0, 1, 1);
+        gb.add_edge(1, 2, 1);
+        let graph = gb.build();
+        let mut cb = CorpusBuilder::new();
+        cb.add_object(0, &[(0, 1)]);
+        cb.add_object(2, &[(1, 1)]);
+        let corpus = cb.build();
+        let config = KspinConfig {
+            rho: 5,
+            num_threads: 1,
+        };
+        let mut index = KspinIndex::build(&graph, &corpus, &config);
+        assert_eq!(index.validate(&corpus), Ok(()));
+        // Object 1 (on vertex 2) holds keyword 1 only; slip it into 0's list.
+        let Some(Some(KeywordIndex::Small(s))) = index.entries.get_mut(0) else {
+            panic!("keyword 0 should have a Small index");
+        };
+        s.push(1, corpus.vertex_of(1));
+        let errs = index.validate(&corpus).unwrap_err();
+        assert_eq!(
+            errs,
+            vec!["term 0: object 1's document lacks the keyword".to_string()]
+        );
     }
 }

@@ -5,21 +5,20 @@
 //! "restaurant")*. The processor generates candidates from a *driving set*
 //! of keywords — a set such that every matching object contains at least
 //! one of them — and filters each candidate against the full expression
-//! before computing its network distance.
+//! before computing its network distance: Algorithm 1's loop
+//! ([`crate::query::bknn`]) with a different plan.
 //!
 //! Driving-set choice mirrors §4.1.2's least-frequent-keyword idea:
 //! a conjunction may be driven by any single operand (every match contains
 //! it), so we pick the operand with the cheapest driving set; a disjunction
 //! must be driven by the union of its operands' driving sets.
 
-use std::collections::BinaryHeap;
-
 use kspin_graph::{VertexId, Weight};
 use kspin_text::{Corpus, ObjectId, TermId};
 
 use crate::engine::QueryEngine;
-use crate::heap::{HeapContext, InvertedHeap};
 use crate::modules::NetworkDistance;
+use crate::query::bknn::carries;
 
 /// A boolean keyword criterion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,16 +46,21 @@ impl BoolExpr {
         BoolExpr::Or(terms.iter().map(|&t| BoolExpr::Term(t)).collect())
     }
 
-    /// Whether object `o` satisfies the criterion (the §2 Boolean filter
-    /// applied to `o`'s document).
+    /// The §2 Boolean filter with keyword membership decided by `has`.
     ///
     /// Empty `And` is vacuously true; empty `Or` is unsatisfiable.
-    pub fn matches(&self, corpus: &Corpus, o: ObjectId) -> bool {
+    pub fn eval(&self, has: impl Fn(TermId) -> bool + Copy) -> bool {
         match self {
-            BoolExpr::Term(t) => corpus.contains(o, *t),
-            BoolExpr::And(children) => children.iter().all(|c| c.matches(corpus, o)),
-            BoolExpr::Or(children) => children.iter().any(|c| c.matches(corpus, o)),
+            BoolExpr::Term(t) => has(*t),
+            BoolExpr::And(children) => children.iter().all(|c| c.eval(has)),
+            BoolExpr::Or(children) => children.iter().any(|c| c.eval(has)),
         }
+    }
+
+    /// Whether object `o`'s document satisfies the criterion (§2), ignoring
+    /// per-keyword index updates — the brute-force oracles' view.
+    pub fn matches(&self, corpus: &Corpus, o: ObjectId) -> bool {
+        self.eval(|t| corpus.contains(o, t))
     }
 
     /// All keywords mentioned anywhere in the expression — the query's
@@ -83,128 +87,74 @@ impl BoolExpr {
         }
     }
 
-    /// A driving set: keywords such that every object satisfying `self`
-    /// contains at least one of them. `None` when the expression is
-    /// unsatisfiable (empty `Or`). Chooses greedily by total inverted-list
-    /// length, generalizing §4.1.2's least-frequent-keyword choice.
-    pub fn driving_set(&self, corpus: &Corpus) -> Option<Vec<TermId>> {
+    /// A driving set (§4.1.2, generalized): sorted keywords such that
+    /// every object satisfying `self` contains at least one of them.
+    /// `None` when the expression is unsatisfiable (an `Or` whose
+    /// operands all are); empty when it is keyword-free (an empty `And`),
+    /// which no keyword can drive. A conjunction picks its operand set of
+    /// least total `cost` (ties: smallest first keyword).
+    pub fn driving_set(&self, cost: impl Fn(TermId) -> usize + Copy) -> Option<Vec<TermId>> {
         match self {
             // ALLOC-OK: one-element driving set, once per query planning.
             BoolExpr::Term(t) => Some(vec![*t]),
             BoolExpr::Or(children) => {
-                if children.is_empty() {
-                    return None;
+                // Unsatisfiable operands contribute no match to cover.
+                let mut union: Option<Vec<TermId>> = None;
+                for set in children.iter().filter_map(|c| c.driving_set(cost)) {
+                    if set.is_empty() {
+                        return Some(set); // a keyword-free operand
+                    }
+                    // ALLOC-OK: |ψ|-bounded union built once per query planning.
+                    union.get_or_insert_default().extend(set);
                 }
-                // ALLOC-OK: |ψ|-bounded union built once per query planning.
-                let mut union = Vec::new();
-                for c in children {
-                    // ALLOC-OK: still the |ψ|-bounded planning union above.
-                    union.extend(c.driving_set(corpus)?);
-                }
-                union.sort_unstable();
-                union.dedup();
-                Some(union)
+                union.map(|mut u| {
+                    u.sort_unstable();
+                    u.dedup();
+                    u
+                })
             }
-            BoolExpr::And(children) => {
-                // Any child's driving set drives the conjunction; pick the
-                // cheapest. An empty And matches everything and cannot be
-                // driven by keywords; treat as unsupported (no sensible
-                // spatial keyword query is keyword-free).
-                children
-                    .iter()
-                    .filter_map(|c| c.driving_set(corpus))
-                    .min_by_key(|set| set.iter().map(|&t| corpus.inv_len(t)).sum::<usize>())
-            }
+            // ALLOC-OK: an empty Vec::new never touches the allocator.
+            BoolExpr::And(children) if children.is_empty() => Some(Vec::new()),
+            BoolExpr::And(children) => children
+                .iter()
+                .filter_map(|c| c.driving_set(cost))
+                .min_by_key(|set| {
+                    let total: usize = set.iter().map(|&t| cost(t)).sum();
+                    (set.is_empty(), total, set.first().copied())
+                }),
         }
     }
 }
 
 impl<D: NetworkDistance> QueryEngine<'_, D> {
     /// Boolean kNN with an arbitrary ∧/∨ criterion (the mixed-operator
-    /// queries of §2's remark), built on Algorithm 1's candidate generation.
-    /// Exact; sorted by ascending distance.
+    /// queries of §2's remark): Algorithm 1's candidate loop driven by
+    /// [`BoolExpr::driving_set`] under live index counts, filtered by
+    /// [`BoolExpr::eval`] under the same keyword membership as
+    /// [`QueryEngine::bknn`] — an object carries a keyword only while it
+    /// is live in that keyword's index, so per-keyword updates (§6.2)
+    /// apply. `bknn_expr(q, k, &BoolExpr::all(ts))` answers exactly as
+    /// `bknn(q, k, ts, Op::And)`, and likewise `any` as `Op::Or`. Exact;
+    /// sorted by ascending distance (ties by object id).
     ///
     /// # Panics
-    /// If the expression has no driving set (an empty `And`).
+    /// If the expression is keyword-free (it holds an empty `And` that no
+    /// keyword can drive).
     pub fn bknn_expr(&mut self, q: VertexId, k: usize, expr: &BoolExpr) -> Vec<(ObjectId, Weight)> {
-        if k == 0 {
-            // ALLOC-OK: an empty Vec::new never touches the allocator.
-            return Vec::new();
-        }
-        let Some(driving) = expr.driving_set(self.corpus) else {
-            // ALLOC-OK: an empty Vec::new never touches the allocator.
-            return Vec::new(); // unsatisfiable
-        };
+        let (corpus, index) = (self.corpus, self.index);
+        let driving = expr.driving_set(|t| index.live_count(t));
         // PANIC-OK: documented API precondition (see `# Panics`): soundness
         // needs a driving keyword per conjunct, so a keyword-free query must
         // not fail silently in release serving either.
         assert!(
-            !driving.is_empty(),
+            driving.as_ref().is_none_or(|set| !set.is_empty()),
             "expression has an empty driving set (keyword-free query)"
         );
-        let ctx = HeapContext::new(self.graph, self.corpus, self.lower_bound, q);
-        let mut heaps: Vec<InvertedHeap<'_>> = driving
-            .iter()
-            .copied()
-            .filter_map(|t| InvertedHeap::create(self.index, t, &ctx))
-            // ALLOC-OK: heap generation — one |ψ|-bounded Vec per query;
-            // the extraction loop below never grows it.
-            .collect();
-        // Engine-lifetime epoch-stamped dedup set (lint H1 + determinism):
-        // clear() bumps the epoch in O(1); no hashing, no iteration order.
-        let mut evaluated = std::mem::take(&mut self.scratch.evaluated);
-        evaluated.clear();
-        // lint:allow(no-binary-heap) — bounded k-best result max-heap for
-        // boolean-expression answers; not a search frontier.
-        // ALLOC-OK: len ≤ k always (pop before push at capacity), so at
-        // most ⌈log₂ k⌉ growth doublings per query.
-        let mut best: BinaryHeap<(Weight, ObjectId)> = BinaryHeap::new();
-
-        loop {
-            let d_k = match best.peek() {
-                Some(&(d, _)) if best.len() == k => d,
-                _ => Weight::MAX,
-            };
-            let Some((i, min_lb)) = heaps
-                .iter()
-                .enumerate()
-                .filter_map(|(i, h)| h.min_key().map(|m| (i, m)))
-                .min_by_key(|&(_, m)| m)
-            else {
-                break;
-            };
-            if min_lb >= d_k {
-                break;
-            }
-            // PANIC-OK: i came from enumerate() over this very vec.
-            let Some(c) = heaps[i].extract(&ctx) else {
-                // Unreachable: heap `i` just reported a finite MINKEY.
-                debug_assert!(false, "heap {i} reported MINKEY but was empty");
-                break;
-            };
-            // ALLOC-OK: epoch-stamped SeenSet insert — a plain array
-            // write into storage sized once at engine construction.
-            if !evaluated.insert(c.object) || !expr.matches(self.corpus, c.object) {
-                self.stats.pruned_candidates += 1;
-                continue;
-            }
-            let d = self.dist.distance(q, self.corpus.vertex_of(c.object));
-            self.stats.dist_computations += 1;
-            if best.len() < k {
-                // ALLOC-OK: grows the k-best heap toward its ≤ k cap.
-                best.push((d, c.object));
-            } else if d < d_k {
-                best.pop();
-                // ALLOC-OK: pop above freed a slot; len stays ≤ k.
-                best.push((d, c.object));
-            }
-        }
-        self.finish_heap_stats(&heaps);
-        self.scratch.evaluated = evaluated;
-        // ALLOC-OK: the ≤ k-element result Vec the API contract returns.
-        let mut out: Vec<(ObjectId, Weight)> = best.into_iter().map(|(d, o)| (o, d)).collect();
-        out.sort_unstable_by_key(|&(o, d)| (d, o));
-        out
+        // An unsatisfiable expression has no driving set: nothing drives.
+        let driving = driving.as_deref().unwrap_or_default();
+        self.bknn_loop(q, k, driving, |o| {
+            expr.eval(|t| carries(corpus, index, o, t))
+        })
     }
 }
 
@@ -243,21 +193,21 @@ mod tests {
         let c = corpus();
         // term 0 appears in 2 objects, term 2 in 1 — And picks {2}.
         let e = BoolExpr::all(&[0, 2]);
-        assert_eq!(e.driving_set(&c), Some(vec![2]));
+        assert_eq!(e.driving_set(|t| c.inv_len(t)), Some(vec![2]));
     }
 
     #[test]
     fn driving_set_unions_disjuncts() {
         let c = corpus();
         let e = BoolExpr::any(&[0, 1]);
-        assert_eq!(e.driving_set(&c), Some(vec![0, 1]));
+        assert_eq!(e.driving_set(|t| c.inv_len(t)), Some(vec![0, 1]));
     }
 
     #[test]
     fn driving_set_of_nested_expression_is_sound() {
         let c = corpus();
         let e = BoolExpr::And(vec![BoolExpr::Term(0), BoolExpr::any(&[1, 2])]);
-        let driving = e.driving_set(&c).unwrap();
+        let driving = e.driving_set(|t| c.inv_len(t)).unwrap();
         // Soundness: every matching object contains a driving term.
         for o in 0..c.num_objects() as ObjectId {
             if e.matches(&c, o) {
@@ -269,10 +219,35 @@ mod tests {
     #[test]
     fn unsatisfiable_expression_has_no_driving_set() {
         let c = corpus();
-        assert_eq!(BoolExpr::Or(vec![]).driving_set(&c), None);
+        assert_eq!(BoolExpr::Or(vec![]).driving_set(|t| c.inv_len(t)), None);
         // And containing an unsatisfiable Or: still driven by the other leg.
         let e = BoolExpr::And(vec![BoolExpr::Term(0), BoolExpr::Or(vec![])]);
-        assert_eq!(e.driving_set(&c), Some(vec![0]));
+        assert_eq!(e.driving_set(|t| c.inv_len(t)), Some(vec![0]));
+    }
+
+    #[test]
+    fn unsatisfiable_disjunct_does_not_sink_the_disjunction() {
+        let c = corpus();
+        let e = BoolExpr::Or(vec![BoolExpr::Or(vec![]), BoolExpr::Term(1)]);
+        assert_eq!(e.driving_set(|t| c.inv_len(t)), Some(vec![1]));
+    }
+
+    #[test]
+    fn keyword_free_expression_has_an_empty_driving_set() {
+        let c = corpus();
+        let cost = |t| c.inv_len(t);
+        assert_eq!(BoolExpr::And(vec![]).driving_set(cost), Some(vec![]));
+        let e = BoolExpr::Or(vec![BoolExpr::Term(0), BoolExpr::And(vec![])]);
+        assert_eq!(e.driving_set(cost), Some(vec![]));
+        // A conjunction prefers any keyword operand over a keyword-free one.
+        let e = BoolExpr::And(vec![BoolExpr::And(vec![]), BoolExpr::Term(2)]);
+        assert_eq!(e.driving_set(cost), Some(vec![2]));
+    }
+
+    #[test]
+    fn equal_cost_conjuncts_tie_break_by_smallest_keyword() {
+        let e = BoolExpr::all(&[5, 3, 4]);
+        assert_eq!(e.driving_set(|_| 1), Some(vec![3]));
     }
 
     #[test]

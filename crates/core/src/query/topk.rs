@@ -9,14 +9,13 @@
 //! than the valid all-unseen bound; Lemma 2 shows termination is still
 //! exact.
 
-use std::collections::BinaryHeap;
-
 use kspin_graph::{OrderedWeight, VertexId, Weight};
 use kspin_text::{ObjectId, QueryTerms, TermId, TextModel};
 
 use crate::engine::QueryEngine;
 use crate::heap::{HeapContext, InvertedHeap};
 use crate::modules::NetworkDistance;
+use crate::query::KBest;
 
 /// How network distance and textual relevance combine into the
 /// spatio-textual score (§2: the framework is "orthogonal to the scoring
@@ -106,20 +105,13 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
         // Engine-lifetime scratch (lint H1 + determinism): the epoch-stamped
         // dedup set clears in O(1); the MINKEY snapshot reaches high-water
         // capacity on the first query and is never reallocated afterwards.
-        let mut processed = std::mem::take(&mut self.scratch.evaluated);
+        let processed = &mut self.scratch.evaluated;
         processed.clear();
-        let mut min_keys = std::mem::take(&mut self.scratch.min_keys);
-        // lint:allow(no-binary-heap) — bounded k-best result max-heap over
-        // OrderedWeight scores; top-k eviction, not a vertex frontier.
-        // ALLOC-OK: len ≤ k always (pop before push at capacity), so at
-        // most ⌈log₂ k⌉ growth doublings per query.
-        let mut best: BinaryHeap<(OrderedWeight, ObjectId)> = BinaryHeap::new();
+        let min_keys = &mut self.scratch.min_keys;
+        let mut best = KBest::new(k, OrderedWeight::INFINITE);
 
         loop {
-            let d_k = match best.peek() {
-                Some(&(s, _)) if best.len() == k => s.get(),
-                _ => f64::INFINITY,
-            };
+            let d_k = best.d_k().get();
             // Algorithm 3 line 5/6 with Algorithm 2 inlined: select the heap
             // with the smallest pseudo lower-bound score. The paper caches
             // pseudo scores in a priority queue; recomputing them fresh each
@@ -138,7 +130,7 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
                 if mk == Weight::MAX {
                     continue;
                 }
-                let plb = score_model.combine(mk, pseudo_relevance(i, &min_keys, &max_contrib));
+                let plb = score_model.combine(mk, pseudo_relevance(i, min_keys, &max_contrib));
                 if chosen.is_none_or(|(_, s)| plb < s) {
                     chosen = Some((i, plb));
                 }
@@ -179,25 +171,12 @@ impl<D: NetworkDistance> QueryEngine<'_, D> {
             }
             let d = self.dist.distance(q, self.corpus.vertex_of(c.object));
             self.stats.dist_computations += 1;
-            let st = score_model.combine(d, tr);
-            if best.len() < k {
-                // ALLOC-OK: grows the k-best heap toward its ≤ k cap.
-                best.push((OrderedWeight::new(st), c.object));
-            } else if st < d_k {
-                best.pop();
-                // ALLOC-OK: pop above freed a slot; len stays ≤ k.
-                best.push((OrderedWeight::new(st), c.object));
-            }
+            best.offer(OrderedWeight::new(score_model.combine(d, tr)), c.object);
         }
         for h in heaps.into_iter().flatten() {
             self.stats.absorb_heap(&h);
         }
-        self.scratch.min_keys = min_keys;
-        self.scratch.evaluated = processed;
-        // ALLOC-OK: the ≤ k-element result Vec the API contract returns.
-        let mut out: Vec<(ObjectId, f64)> = best.into_iter().map(|(s, o)| (o, s.get())).collect();
-        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        out
+        best.into_sorted()
     }
 }
 

@@ -165,12 +165,6 @@ impl Corpus {
         terms.iter().any(|&t| self.contains(o, t))
     }
 
-    /// The term id of the least frequent (smallest `|inv(t)|`) of `terms` —
-    /// the heap the conjunctive BkNN processor drives from (§4.1.2).
-    pub fn least_frequent(&self, terms: &[TermId]) -> Option<TermId> {
-        terms.iter().copied().min_by_key(|&t| self.inv_len(t))
-    }
-
     /// Approximate memory footprint in bytes (documents + inverted lists).
     pub fn size_bytes(&self) -> usize {
         let posting = std::mem::size_of::<DocPosting>();
@@ -460,7 +454,6 @@ mod tests {
         assert_eq!(objs, vec![0, 2]);
         assert_eq!(c.inv_len(1), 2);
         assert_eq!(c.inv_len(2), 1);
-        assert_eq!(c.least_frequent(&[0, 1, 2]), Some(2));
     }
 
     #[test]

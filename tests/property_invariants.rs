@@ -12,9 +12,11 @@ use kspin_ch::{ChConfig, ContractionHierarchy};
 use kspin_core::heap::{HeapContext, InvertedHeap};
 use kspin_core::query::baseline::brute_bknn;
 use kspin_core::{ExactLowerBound, LowerBound};
+use kspin_graph::generate::{road_network, RoadNetworkConfig};
 use kspin_graph::{Dijkstra, GraphBuilder};
 use kspin_hl::HubLabels;
 use kspin_nvd::ApproxNvd;
+use kspin_text::generate::{corpus as gen_corpus, CorpusConfig};
 use kspin_text::CorpusBuilder;
 
 /// A connected random graph: a spanning path plus random extra edges.
@@ -342,4 +344,127 @@ proptest! {
             prop_assert_eq!(dynamic.lower_bound(s, s), 0);
         }
     }
+}
+
+/// The seeded world of the per-keyword update regressions: a 700-vertex
+/// road network and its corpus.
+fn update_world() -> (Graph, Corpus) {
+    let graph = road_network(&RoadNetworkConfig::new(700, 23));
+    let mut cc = CorpusConfig::new(graph.num_vertices(), 23 ^ 0xabc);
+    cc.object_fraction = 0.08;
+    (graph, gen_corpus(&cc).0)
+}
+
+/// Object 0's rarest and most frequent keywords.
+fn rare_and_frequent(corpus: &Corpus) -> (TermId, TermId) {
+    let mut doc: Vec<TermId> = corpus.doc(0).iter().map(|p| p.term).collect();
+    doc.sort_by_key(|&t| (corpus.inv_len(t), t));
+    (doc[0], doc[doc.len() - 1])
+}
+
+/// `bknn(.., op)` and `bknn_expr(.., all/any)` must answer identically with
+/// identical counters, and both must equal brute force over the live
+/// (object, keyword) pairs: the document minus the `removed` pairs.
+fn assert_bknn_forms_agree(
+    g: &Graph,
+    corpus: &Corpus,
+    index: &KspinIndex,
+    removed: &[(ObjectId, TermId)],
+    step: &str,
+) {
+    let (rare, frequent) = rare_and_frequent(corpus);
+    let exact = ExactLowerBound::new(g);
+    let mut engine = QueryEngine::new(g, corpus, index, &exact, DijkstraDistance::new(g));
+    for q in [corpus.vertex_of(0), 5, 340] {
+        for k in [1, 3, 10] {
+            for terms in [vec![rare, frequent], vec![frequent, 1, 2]] {
+                for op in [Op::And, Op::Or] {
+                    let expr = match op {
+                        Op::And => BoolExpr::all(&terms),
+                        Op::Or => BoolExpr::any(&terms),
+                    };
+                    engine.reset_stats();
+                    let got = engine.bknn(q, k, &terms, op);
+                    let stats = engine.stats();
+                    engine.reset_stats();
+                    let got_expr = engine.bknn_expr(q, k, &expr);
+                    let ctx = format!("{step}: q={q} k={k} {terms:?} {op:?}");
+                    assert_eq!(got, got_expr, "{ctx}: bknn vs bknn_expr");
+                    assert_eq!(stats, engine.stats(), "{ctx}: counters differ");
+                    let live = |o: ObjectId| {
+                        expr.eval(|t| corpus.contains(o, t) && !removed.contains(&(o, t)))
+                    };
+                    let want: Vec<Weight> =
+                        brute_bknn(g, corpus, q, corpus.num_objects(), &terms, op)
+                            .into_iter()
+                            .filter(|&(o, _)| live(o))
+                            .take(k)
+                            .map(|(_, d)| d)
+                            .collect();
+                    let gd: Vec<Weight> = got.iter().map(|&(_, d)| d).collect();
+                    assert_eq!(gd, want, "{ctx}: vs brute force");
+                }
+            }
+        }
+    }
+}
+
+/// A per-keyword removal (§6.2) must reach every Boolean form alike.
+#[test]
+fn keyword_updates_reach_bknn_and_bknn_expr_alike() {
+    let (g, corpus) = update_world();
+    let (rare, frequent) = rare_and_frequent(&corpus);
+    assert!(
+        corpus.inv_len(frequent) > 5,
+        "the frequent keyword gets an NVD at ρ = 5"
+    );
+    let largest = (0..corpus.num_terms() as TermId)
+        .map(|t| corpus.inv_len(t))
+        .max()
+        .unwrap_or(0);
+    // ρ = 5 keeps NVD keywords; ρ above the largest list makes all Small.
+    for rho in [5, largest + 1] {
+        let config = KspinConfig {
+            rho,
+            num_threads: 1,
+        };
+        let mut index = KspinIndex::build(&g, &corpus, &config);
+        let step = |s: &str| format!("rho={rho} {s}");
+        assert_bknn_forms_agree(&g, &corpus, &index, &[], &step("fresh"));
+
+        index.delete_from_term(0, frequent);
+        assert_bknn_forms_agree(&g, &corpus, &index, &[(0, frequent)], &step("delete"));
+
+        let mut dist = DijkstraDistance::new(&g);
+        index.insert_into_term(&g, &corpus, 0, frequent, &mut dist);
+        assert_bknn_forms_agree(&g, &corpus, &index, &[], &step("re-insert"));
+
+        index.delete_from_term(0, frequent);
+        index.delete_from_term(0, rare);
+        index.rebuild_term(&g, &corpus, frequent);
+        index.rebuild_term(&g, &corpus, rare);
+        let removed = [(0, frequent), (0, rare)];
+        assert_bknn_forms_agree(&g, &corpus, &index, &removed, &step("rebuild"));
+    }
+}
+
+/// The corpus is immutable, so indexing a keyword the document lacks
+/// would make ∨ (index) and ∧/top-k (document) disagree on the object.
+#[test]
+#[should_panic(expected = "lacks keyword")]
+fn inserting_a_keyword_the_document_lacks_panics() {
+    let (g, corpus) = update_world();
+    let t = (0..corpus.num_terms() as TermId)
+        .find(|&t| !corpus.contains(0, t) && corpus.inv_len(t) > 10)
+        .expect("a frequent keyword object 0 lacks");
+    let mut index = KspinIndex::build(
+        &g,
+        &corpus,
+        &KspinConfig {
+            rho: 5,
+            num_threads: 1,
+        },
+    );
+    let mut dist = DijkstraDistance::new(&g);
+    index.insert_into_term(&g, &corpus, 0, t, &mut dist);
 }

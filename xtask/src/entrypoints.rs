@@ -62,13 +62,13 @@ pub const TAINT_DIRS: [&str; 7] = [
 ];
 
 /// The serving entry points the panic certificate quantifies over: every
-/// query processor the engine exposes (§4 of the paper), the batch
+/// query processor the engine exposes (§4 of the paper) and the
+/// Algorithm-1 loop the Boolean ones share, the batch
 /// executor, the d-ary heap kernel API, the Heap Generator constructor,
 /// and the snapshot validator.
-pub const PANIC_ENTRIES: [&str; 12] = [
+pub const PANIC_ENTRIES: [&str; 11] = [
     "QueryEngine::bknn",
-    "QueryEngine::bknn_disjunctive",
-    "QueryEngine::bknn_conjunctive",
+    "QueryEngine::bknn_loop",
     "QueryEngine::top_k",
     "QueryEngine::top_k_with",
     "QueryEngine::bknn_expr",
@@ -81,13 +81,13 @@ pub const PANIC_ENTRIES: [&str; 12] = [
 ];
 
 /// Steady-state serving entry points for the allocation certificate: the
-/// 6 query processors (§4.1/§4.2), the batch executor, the 4 d-ary heap
+/// 4 query processors (§4.1/§4.2) and their shared Algorithm-1 loop, the
+/// batch executor, the 4 d-ary heap
 /// kernel ops, inverted-heap extraction (Algorithm 4), the PHAST/RPHAST
 /// one-to-many sweep kernels, and the snapshot validator.
-pub const STEADY_ENTRIES: [&str; 15] = [
+pub const STEADY_ENTRIES: [&str; 14] = [
     "QueryEngine::bknn",
-    "QueryEngine::bknn_disjunctive",
-    "QueryEngine::bknn_conjunctive",
+    "QueryEngine::bknn_loop",
     "QueryEngine::top_k",
     "QueryEngine::top_k_with",
     "QueryEngine::bknn_expr",
