@@ -40,7 +40,7 @@ pub struct QueryStats {
     pub heap_stale_skipped: usize,
     /// Heap-kernel pushes that forced the entry array to grow. Zero in the
     /// steady state (`DaryHeap::new` pre-sizes to the item count) — the
-    /// dynamic face of `cargo xtask allocs`'s static certificate.
+    /// dynamic face of the `alloc-reachability` certificate.
     pub heap_grows: usize,
 }
 
@@ -100,7 +100,7 @@ pub(crate) struct QueryScratch {
 /// Epoch-stamped membership set over `ObjectId`, replacing the former
 /// `HashSet<ObjectId>` dedup set: a `RandomState`-hashed set on the
 /// extraction loop was a latent nondeterminism source (and a rehash-growth
-/// alloc risk), flagged by `cargo xtask determinism`. Same trick as the
+/// alloc risk), flagged by the `determinism` certificate. Same trick as the
 /// `one_to_many` target slots in `kspin-graph::dijkstra` — a slot is a
 /// member iff its stamp equals the current epoch, so [`SeenSet::clear`]
 /// is O(1) and [`SeenSet::insert`] is a branch-free array write with no

@@ -24,8 +24,7 @@
 //! crate's `snapshot` module, which builds on these codecs.
 
 pub use kspin_snapshot::{
-    format, FormatError, IndexStore, SectionLabel, SectionView, SnapshotError, SnapshotFile,
-    SnapshotWriter,
+    format, FormatError, SectionLabel, SectionView, SnapshotError, SnapshotFile, SnapshotWriter,
 };
 
 use crate::index::{BuildStats, KeywordIndex, KspinIndex, NvdIndex, SmallIndex};

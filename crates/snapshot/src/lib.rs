@@ -6,9 +6,8 @@
 //! hierarchy and the active relabeling — as *sections* of flat
 //! little-endian `u32`/`u64`/`f64` arrays. Loading is validate-then-copy
 //! into pre-sized `Vec`s: no per-element parsing, no pointer fix-ups, no
-//! graph traversal. The layout is deliberately mmap-compatible (fixed
-//! header, 8-aligned sections, explicit offsets) so a later `Mapped`
-//! variant of [`IndexStore`] can serve straight from the page cache.
+//! graph traversal. Sections sit at explicit, 8-aligned offsets behind a
+//! fixed header.
 //!
 //! Three guarantees define the format:
 //!
@@ -23,7 +22,8 @@
 //!   section.
 //! * **Panic-free loading** — validation and section access never index,
 //!   never divide, never assert: untrusted bytes cannot panic the loader.
-//!   `SnapshotFile::validate` is certified by `cargo xtask panics`.
+//!   `SnapshotFile::validate` is an entry point of the `panic-reachability`
+//!   certificate of `cargo xtask lint`.
 //!
 //! This crate is the format layer only: it knows bytes, sections and
 //! checksums. The codecs that map index structures onto sections live in
@@ -38,6 +38,5 @@ pub mod reader;
 pub mod writer;
 
 pub use error::{FormatError, SectionLabel, SnapshotError};
-pub use owned::IndexStore;
 pub use reader::{SectionView, SnapshotFile};
 pub use writer::SnapshotWriter;

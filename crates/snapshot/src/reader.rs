@@ -4,10 +4,10 @@
 //! untrusted bytes become a readable snapshot. It is written to be
 //! **panic-free and allocation-free** — only `get`-based slicing, checked
 //! arithmetic and iterator folds; no indexing, no asserts, no unchecked
-//! division — because it is a certified entry point of `cargo xtask
-//! panics` and sits in the `cargo xtask allocs` steady-state perimeter:
-//! a corrupt or adversarial file must yield a structured
-//! [`SnapshotError`], never a panic, before any copying begins.
+//! division — because it is a certified entry point of the
+//! `panic-reachability` certificate and sits in the `alloc-reachability`
+//! steady-state perimeter: a corrupt or adversarial file must yield a
+//! structured [`SnapshotError`], never a panic, before any copying begins.
 
 use crate::error::{FormatError, SectionLabel, SnapshotError};
 use crate::format::{

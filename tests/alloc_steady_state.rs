@@ -1,5 +1,6 @@
-//! The dynamic face of `cargo xtask allocs`: a counting global allocator
-//! measures what batch serving actually allocates once warmed up.
+//! The dynamic face of the `alloc-reachability` certificate: a counting
+//! global allocator measures what batch serving actually allocates once
+//! warmed up.
 //!
 //! The static certificate proves no *unjustified* allocation source is
 //! reachable from the steady-state entry points; every residual site
@@ -109,7 +110,7 @@ fn steady_state_batches_allocate_a_pinned_reproducible_amount() {
 
     // One worker: thread-spawn and shard bookkeeping is identical across
     // batches and the cross-batch comparison is exact, not statistical.
-    let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 1).with_exact_threads(1);
+    let exec = BatchExecutor::new(&graph, &corpus, &index, &alt, 1);
 
     // Warm-up batch: any one-time lazy initialization happens here.
     exec.execute(&queries, || DijkstraDistance::new(&graph));

@@ -95,10 +95,8 @@ fn sequential(f: &Fixture) -> Vec<ServingResult> {
 
 fn assert_batches_match(f: &Fixture, reference: &[ServingResult]) {
     for threads in [1, 2, 8] {
-        // `with_exact_threads` bypasses the hardware clamp so the 8-worker
-        // leg really runs 8 workers even on a 1-core host.
-        let exec = BatchExecutor::new(&f.graph, &f.corpus, &f.index, &f.alt, 1)
-            .with_exact_threads(threads);
+        // The 8-worker leg really runs 8 workers, even on a 1-core host.
+        let exec = BatchExecutor::new(&f.graph, &f.corpus, &f.index, &f.alt, threads);
         let out = exec.execute(&f.queries, || DijkstraDistance::new(&f.graph));
         assert_eq!(
             out.results, reference,
@@ -210,8 +208,7 @@ fn hilbert_renumbering_is_invisible_to_serving() {
         .collect();
 
     for threads in [1, 4] {
-        let exec =
-            BatchExecutor::new(&pg, &f.corpus, &f.index, &palt, 1).with_exact_threads(threads);
+        let exec = BatchExecutor::new(&pg, &f.corpus, &f.index, &palt, threads);
         let out = exec.execute(&queries, || DijkstraDistance::new(&pg));
         assert_eq!(
             out.results, reference,
@@ -253,8 +250,7 @@ fn snapshot_reload_is_invisible_to_serving() {
     assert!(extras.ch.is_some(), "ch rides along");
 
     for threads in [1, 4] {
-        let exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, 1)
-            .with_exact_threads(threads);
+        let exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, threads);
         let out = exec.execute(&f.queries, || DijkstraDistance::new(&sys.graph));
         assert_eq!(
             out.results, reference,
@@ -293,8 +289,7 @@ fn snapshot_reload_is_invisible_to_serving() {
     }
     let reference2 = sequential(&f2);
     for threads in [1, 4] {
-        let exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, 1)
-            .with_exact_threads(threads);
+        let exec = BatchExecutor::new(&sys.graph, &sys.corpus, &sys.index, &sys.alt, threads);
         let out = exec.execute(&f.queries, || DijkstraDistance::new(&sys.graph));
         assert_eq!(
             out.results, reference2,

@@ -1,11 +1,11 @@
-//! `cargo xtask allocs` — the call-graph allocation-freedom certifier.
+//! `alloc-reachability` — the call-graph allocation-freedom certificate.
 //!
 //! Sibling of [`crate::panics`]: proves (conservatively) that the
 //! serving *steady state* performs no unjustified heap allocation after
 //! warm-up. The pipeline shares the panic certifier's symbol layers —
-//! [`crate::items`] parses the `crates/{graph,alt,nvd,core}` perimeter,
-//! [`crate::callgraph`] builds the conservative call graph — and differs
-//! in two ways:
+//! [`crate::items`] parses the [`crate::entrypoints::CERT_DIRS`]
+//! perimeter, [`crate::callgraph`] builds the conservative call graph —
+//! and differs in two ways:
 //!
 //! 1. **Reachability is phase-split.** The sweep starts from the
 //!    steady-state entry points ([`crate::entrypoints::STEADY_ENTRIES`])
@@ -31,56 +31,27 @@
 //! `// ALLOC-OK: <capacity invariant>` justification (same placement
 //! grammar as `PANIC-OK`) and is counted but not reported. Sites the
 //! token-level H1 hot-loop lint already polices are deduplicated out of
-//! this report. Everything else is a finding under the
-//! `alloc-reachability` rule of the shared `lint-baseline.json` ratchet.
+//! this report. Everything else is a finding of `cargo xtask lint` under
+//! the shared `lint-baseline.json` ratchet.
 //!
-//! The sweep/ratchet/CLI plumbing lives in the shared driver
-//! ([`crate::report::run_certifier`]); this module is classifier-only.
-
-use std::process::ExitCode;
+//! The sweep itself is the shared [`crate::certifier`] driver; this
+//! module is classifier-only.
 
 use crate::callgraph::{body_tokens, CallGraph};
+use crate::certifier::{Certifier, Site};
 use crate::entrypoints::{STEADY_ENTRIES, WARM_UP};
 use crate::lex::TokenKind;
-use crate::report::{self, Certifier, Hooks, Site};
 use crate::rules::{h1_no_alloc, Rule};
 use crate::scope::SourceFile;
 
-/// CLI usage.
-pub const USAGE: &str = "\
-usage: cargo xtask allocs [options]
-
-Certifies that no unjustified allocation source is reachable from the
-steady-state serving entry points (see --list-entries) without crossing
-the warm-up boundary (constructors, index builds, heap generation).
-Sites are exempted by an inline `// ALLOC-OK: capacity invariant`
-comment; remaining findings pass through the lint-baseline.json ratchet
-under the `alloc-reachability` rule.
-
-options:
-  --format <human|json>   report format (json is SARIF-lite; default human)
-  --entry <Type::method>  add an entry point (repeatable; replaces defaults)
-  --list-entries          print the default entry points and warm-up set
-  --update-baseline       rewrite lint-baseline.json from current findings
-  --deny-stale            fail when baseline entries no longer fire (CI)
-  -h, --help              show this help";
-
-/// The certifier description block the shared driver runs from.
-const CERTIFIER: Certifier = Certifier {
-    tool: "cargo-xtask-allocs",
-    name: "allocs",
-    usage: USAGE,
+/// The certificate: steady-state entries, fenced at the warm-up boundary.
+pub const CERTIFIER: Certifier = Certifier {
     rule: Rule::AllocReachability,
-    default_entries: &STEADY_ENTRIES,
+    entries: &STEADY_ENTRIES,
     warm_up: &WARM_UP,
-    marker: "ALLOC-OK",
-    reach_adjective: "steady-reachable",
-    noun: "steady-state allocation",
-    hooks: Hooks {
-        classify: alloc_sites,
-        justified: SourceFile::alloc_justified,
-        dedup: Some(h1_spans),
-    },
+    classify: alloc_sites,
+    justified: SourceFile::alloc_justified,
+    dedup: Some(h1_spans),
 };
 
 /// Allocating `Type::ctor(…)` qualifiers.
@@ -223,50 +194,37 @@ pub fn alloc_sites(file: &SourceFile, graph: &CallGraph, idx: usize) -> Vec<Site
     out
 }
 
-/// Runs the analysis over `files` from the given steady-state entry
-/// specs, never crossing the warm-up boundary specs. Test-facing twin of
-/// the [`run`] CLI path.
-#[cfg(test)]
-pub fn certify(
-    files: Vec<SourceFile>,
-    entry_specs: &[String],
-    warm_up_specs: &[String],
-) -> Result<report::Certificate, String> {
-    report::certify(
-        files,
-        entry_specs,
-        warm_up_specs,
-        Rule::AllocReachability,
-        &CERTIFIER.hooks,
-    )
-}
-
-/// CLI entry: `cargo xtask allocs [options]`.
-pub fn run(args: &[String]) -> ExitCode {
-    report::run_certifier(&CERTIFIER, args)
-}
-
 // ---------------------------------------------------------------------------
 // Self-tests: the classifier on planted fixtures, the warm-up/steady
-// split, receiver-typed growth dispatch, H1 dedup, and the live
-// workspace certificate.
+// split, receiver-typed growth dispatch, and H1 dedup.
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Baseline;
-    use crate::lint::workspace_root;
-    use crate::report::{load_perimeter, Certificate, BASELINE_FILE};
+    use crate::certifier::certify_source;
+    use crate::rules::Summary;
 
-    fn cert_at(rel: &str, src: &str, entries: &[&str], warm: &[&str]) -> Certificate {
-        let e: Vec<String> = entries.iter().map(|s| s.to_string()).collect();
-        let w: Vec<String> = warm.iter().map(|s| s.to_string()).collect();
-        certify(vec![SourceFile::from_source(rel, src)], &e, &w).expect("fixture specs resolve")
+    fn cert_at(
+        rel: &str,
+        src: &str,
+        entries: &'static [&'static str],
+        warm_up: &'static [&'static str],
+    ) -> Summary {
+        let spec = Certifier {
+            entries,
+            warm_up,
+            ..CERTIFIER
+        };
+        certify_source(rel, src, &spec)
     }
 
-    fn cert(src: &str, entries: &[&str], warm: &[&str]) -> Certificate {
-        cert_at("fixture.rs", src, entries, warm)
+    fn cert(
+        src: &str,
+        entries: &'static [&'static str],
+        warm_up: &'static [&'static str],
+    ) -> Summary {
+        cert_at("fixture.rs", src, entries, warm_up)
     }
 
     #[test]
@@ -286,7 +244,6 @@ fn entry(xs: &[u32], n: usize) -> u32 {
 ";
         let c = cert(src, &["entry"], &[]);
         let kinds: Vec<(&str, usize)> = c
-            .summary
             .findings
             .iter()
             .map(|f| (f.message.split(';').next().expect("kind"), f.line))
@@ -307,7 +264,7 @@ fn entry(xs: &[u32], n: usize) -> u32 {
                 ("String::from() allocates", 9),
             ]
         );
-        let ctor = &c.summary.findings[0];
+        let ctor = &c.findings[0];
         assert_eq!(
             ctor.col,
             src.lines()
@@ -335,13 +292,13 @@ fn entry(h: &mut Heap, out: &mut Vec<u32>) {
 }
 ";
         let c = cert(src, &["entry"], &[]);
-        let lines: Vec<usize> = c.summary.findings.iter().map(|f| f.line).collect();
+        let lines: Vec<usize> = c.findings.iter().map(|f| f.line).collect();
         // h.push is charged to the certified Heap::push body (line 4);
         // out.push (Vec) and mystery.push (untyped) are call-site findings.
         assert_eq!(lines, vec![4, 9, 10]);
-        assert!(c.summary.findings[0].message.contains("on `Vec`"));
-        assert!(c.summary.findings[0].message.contains("entry → Heap::push"));
-        assert!(c.summary.findings[2].message.contains("untyped receiver"));
+        assert!(c.findings[0].message.contains("on `Vec`"));
+        assert!(c.findings[0].message.contains("entry → Heap::push"));
+        assert!(c.findings[2].message.contains("untyped receiver"));
     }
 
     #[test]
@@ -364,10 +321,8 @@ fn first_fill() { let s = vec![7]; }
         let c = cert(src, &["Engine::serve"], &["new", "first_fill"]);
         // Only step's vec! is a finding: new, everything behind it, and
         // first_fill are fenced off.
-        assert_eq!(c.summary.findings.len(), 1);
-        assert_eq!(c.summary.findings[0].line, 5);
-        let fenced: usize = c.warm_up.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(fenced, 2);
+        assert_eq!(c.findings.len(), 1);
+        assert_eq!(c.findings[0].line, 5);
     }
 
     #[test]
@@ -381,12 +336,9 @@ fn entry(n: usize) -> Vec<u32> {
 }
 ";
         let c = cert(src, &["entry"], &[]);
-        assert_eq!(c.summary.findings.len(), 1, "only the extend fires");
-        assert_eq!(c.summary.findings[0].line, 4);
-        assert_eq!(
-            c.summary.justified.get(Rule::AllocReachability.key()),
-            Some(&1)
-        );
+        assert_eq!(c.findings.len(), 1, "only the extend fires");
+        assert_eq!(c.findings[0].line, 4);
+        assert_eq!(c.justified.get(Rule::AllocReachability.key()), Some(&1));
     }
 
     #[test]
@@ -402,60 +354,7 @@ fn entry(xs: &[u32]) {
         // In H1's hot-loop scope: the in-loop site belongs to H1, the
         // out-of-loop one to this certifier.
         let c = cert_at("crates/core/src/query/fx.rs", src, &["entry"], &[]);
-        assert_eq!(c.deduplicated, 1);
-        assert_eq!(c.summary.findings.len(), 1);
-        assert_eq!(c.summary.findings[0].line, 5);
-    }
-
-    #[test]
-    fn missing_entry_and_warm_up_specs_are_hard_errors() {
-        let files = || vec![SourceFile::from_source("fixture.rs", "fn real() {}\n")];
-        let err = certify(files(), &["gone".to_string()], &[])
-            .err()
-            .expect("stale entry spec must be a hard error");
-        assert!(err.contains("gone"));
-        let err = certify(files(), &["real".to_string()], &["fenced_away".to_string()])
-            .err()
-            .expect("stale warm-up spec must be a hard error");
-        assert!(err.contains("fenced_away") && err.contains("warm-up"));
-    }
-
-    // ---- the live workspace ------------------------------------------------
-
-    #[test]
-    fn live_workspace_certificate_holds() {
-        let specs: Vec<String> = STEADY_ENTRIES.map(str::to_string).to_vec();
-        let warm: Vec<String> = WARM_UP.map(str::to_string).to_vec();
-        let cert = certify(load_perimeter(), &specs, &warm).expect("all specs resolve");
-        assert!(
-            cert.summary.files_scanned > 20,
-            "suspiciously small perimeter"
-        );
-        for (spec, resolved) in &cert.entries {
-            assert!(!resolved.is_empty(), "entry {spec} resolved to nothing");
-        }
-        let baseline =
-            Baseline::load(&workspace_root().join(BASELINE_FILE)).expect("baseline parses");
-        let key = Rule::AllocReachability.key();
-        let alloc_entries: Vec<_> = baseline
-            .entries
-            .into_iter()
-            .filter(|e| e.rule == key)
-            .collect();
-        let ratchet = Baseline {
-            note: String::new(),
-            entries: alloc_entries,
-        }
-        .apply(&cert.summary.findings);
-        let report: Vec<String> = ratchet.new.iter().map(ToString::to_string).collect();
-        assert!(
-            ratchet.new.is_empty(),
-            "unjustified steady-state allocation sites:\n{}",
-            report.join("\n")
-        );
-        assert!(
-            ratchet.stale.is_empty(),
-            "stale alloc-reachability baseline entries"
-        );
+        assert_eq!(c.findings.len(), 1);
+        assert_eq!(c.findings[0].line, 5);
     }
 }

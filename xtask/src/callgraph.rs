@@ -207,16 +207,11 @@ impl CallGraph {
     }
 
     /// Breadth-first reachability from `entries`, recording shortest-path
-    /// parents for chain reporting.
-    pub fn reach(&self, entries: &[usize]) -> Reach {
-        self.reach_avoiding(entries, &[])
-    }
-
-    /// [`Self::reach`] that never enters the `avoid` set — the allocation
-    /// certifier's warm-up boundary. An avoided item is unreachable even
-    /// when listed as an entry (avoid wins), and nothing behind it is
-    /// reached *through* it.
-    pub fn reach_avoiding(&self, entries: &[usize], avoid: &[usize]) -> Reach {
+    /// parents for chain reporting, that never enters the `avoid` set —
+    /// the warm-up boundary. An avoided item is unreachable even when
+    /// listed as an entry (avoid wins), and nothing behind it is reached
+    /// *through* it.
+    pub fn reach(&self, entries: &[usize], avoid: &[usize]) -> Reach {
         let mut parent = vec![None; self.items.len()];
         let mut reached = vec![false; self.items.len()];
         let mut blocked = vec![false; self.items.len()];
@@ -748,7 +743,7 @@ fn approx() -> u32 { 0 }
         let g = graph(src);
         assert!(calls(&g, "query", "Exact::distance"));
         assert!(calls(&g, "query", "Approx::distance"));
-        let r = g.reach(&g.resolve_entry("query"));
+        let r = g.reach(&g.resolve_entry("query"), &[]);
         assert!(r.reached(idx(&g, "exact")) && r.reached(idx(&g, "approx")));
     }
 
@@ -800,11 +795,11 @@ fn odd(n: u32) -> bool { if n == 0 { false } else { even(n - 1) } }
 fn selfrec(n: u32) { selfrec(n) }
 ";
         let g = graph(src);
-        let r = g.reach(&g.resolve_entry("even"));
+        let r = g.reach(&g.resolve_entry("even"), &[]);
         assert!(r.reached(idx(&g, "odd")));
         let chain = r.chain(idx(&g, "odd"));
         assert_eq!(chain.len(), 2, "shortest chain is even → odd");
-        let r2 = g.reach(&g.resolve_entry("selfrec"));
+        let r2 = g.reach(&g.resolve_entry("selfrec"), &[]);
         assert!(r2.reached(idx(&g, "selfrec")));
     }
 
@@ -837,12 +832,12 @@ mod tests {
             !calls(&g, "live", "audit"),
             "cfg(debug_assertions)-gated statement is compiled out"
         );
-        let r = g.reach(&g.resolve_entry("live"));
+        let r = g.reach(&g.resolve_entry("live"), &[]);
         assert!(!r.reached(idx(&g, "boom")));
     }
 
     #[test]
-    fn reach_avoiding_blocks_the_warm_up_boundary() {
+    fn reach_never_enters_the_avoided_set() {
         let src = "\
 impl Engine {
     pub fn serve(&self) { self.step(); Engine::new(); }
@@ -854,7 +849,7 @@ fn warm_helper() {}
 ";
         let g = graph(src);
         let avoid = g.resolve_entry("Engine::new");
-        let r = g.reach_avoiding(&g.resolve_entry("Engine::serve"), &avoid);
+        let r = g.reach(&g.resolve_entry("Engine::serve"), &avoid);
         assert!(r.reached(idx(&g, "kernel")));
         assert!(!r.reached(idx(&g, "Engine::new")), "avoided item reached");
         assert!(
@@ -862,7 +857,7 @@ fn warm_helper() {}
             "nothing behind the boundary may be reached through it"
         );
         // Avoid wins even over entry listing.
-        let r2 = g.reach_avoiding(&g.resolve_entry("Engine::new"), &avoid);
+        let r2 = g.reach(&g.resolve_entry("Engine::new"), &avoid);
         assert!(!r2.reached(idx(&g, "Engine::new")));
     }
 

@@ -1,4 +1,4 @@
-//! `cargo xtask determinism` — the call-graph determinism certifier.
+//! `determinism` — the call-graph determinism certificate.
 //!
 //! Third certificate in the family ([`crate::panics`], [`crate::allocs`]):
 //! proves (conservatively) that the serving steady state is
@@ -40,57 +40,27 @@
 //! A site whose ordering provably cannot escape carries an inline
 //! `// DETER-OK: <ordering invariant>` justification (same placement
 //! grammar as `PANIC-OK`/`ALLOC-OK`) and is counted but not reported.
-//! Everything else is a finding under the `determinism` rule of the
-//! shared `lint-baseline.json` ratchet.
+//! Everything else is a finding of `cargo xtask lint` under the shared
+//! `lint-baseline.json` ratchet.
 //!
-//! The sweep/ratchet/CLI plumbing lives in the shared driver
-//! ([`crate::report::run_certifier`]); this module is classifier-only.
-
-use std::process::ExitCode;
+//! The sweep itself is the shared [`crate::certifier`] driver; this
+//! module is classifier-only.
 
 use crate::callgraph::{body_tokens, CallGraph};
+use crate::certifier::{Certifier, Site};
 use crate::entrypoints::{STEADY_ENTRIES, WARM_UP};
 use crate::lex::TokenKind;
-use crate::report::{self, Certifier, Hooks, Site};
 use crate::rules::{statement_around, Rule};
 use crate::scope::SourceFile;
 
-/// CLI usage.
-pub const USAGE: &str = "\
-usage: cargo xtask determinism [options]
-
-Certifies that no unjustified nondeterminism source (hash-order
-iteration, RandomState container construction, time/rng reads,
-order-sensitive float reduction, worker-count branches) is reachable
-from the steady-state serving entry points (see --list-entries) without
-crossing the warm-up boundary. Sites are exempted by an inline
-`// DETER-OK: ordering invariant` comment; remaining findings pass
-through the lint-baseline.json ratchet under the `determinism` rule.
-
-options:
-  --format <human|json>   report format (json is SARIF-lite; default human)
-  --entry <Type::method>  add an entry point (repeatable; replaces defaults)
-  --list-entries          print the default entry points and warm-up set
-  --update-baseline       rewrite lint-baseline.json from current findings
-  --deny-stale            fail when baseline entries no longer fire (CI)
-  -h, --help              show this help";
-
-/// The certifier description block the shared driver runs from.
-const CERTIFIER: Certifier = Certifier {
-    tool: "cargo-xtask-determinism",
-    name: "determinism",
-    usage: USAGE,
+/// The certificate: the allocation certificate's phase split.
+pub const CERTIFIER: Certifier = Certifier {
     rule: Rule::Determinism,
-    default_entries: &STEADY_ENTRIES,
+    entries: &STEADY_ENTRIES,
     warm_up: &WARM_UP,
-    marker: "DETER-OK",
-    reach_adjective: "steady-reachable",
-    noun: "nondeterminism",
-    hooks: Hooks {
-        classify: deter_sites,
-        justified: SourceFile::deter_justified,
-        dedup: None,
-    },
+    classify: deter_sites,
+    justified: SourceFile::deter_justified,
+    dedup: None,
 };
 
 /// `RandomState`-hashed std containers whose iteration order is
@@ -268,9 +238,11 @@ pub fn deter_sites(file: &SourceFile, graph: &CallGraph, idx: usize) -> Vec<Site
 }
 
 /// Float evidence anywhere in the statement containing code token `k`:
-/// an `f32`/`f64` type token or a float literal. Mirrors the panic
-/// certifier's integer-division heuristic, inverted — integer reduction
-/// is order-insensitive, float reduction is not.
+/// an `f32`/`f64` type token or a float literal. Integer reduction is
+/// order-insensitive, float reduction is not. A `.sum()` call has no
+/// operands to inspect, so unlike the arithmetic classifiers'
+/// [`crate::rules::float_operand_at`] this looks at the whole statement,
+/// and extra evidence only adds findings.
 fn float_in_statement(file: &SourceFile, k: usize) -> bool {
     let (start, end) = statement_around(file, k);
     (start..end).any(|j| {
@@ -285,47 +257,28 @@ fn float_in_statement(file: &SourceFile, k: usize) -> bool {
     })
 }
 
-/// Runs the analysis over `files` from the given steady-state entry
-/// specs, never crossing the warm-up boundary specs. Test-facing twin of
-/// the [`run`] CLI path.
-#[cfg(test)]
-pub fn certify(
-    files: Vec<SourceFile>,
-    entry_specs: &[String],
-    warm_up_specs: &[String],
-) -> Result<report::Certificate, String> {
-    report::certify(
-        files,
-        entry_specs,
-        warm_up_specs,
-        Rule::Determinism,
-        &CERTIFIER.hooks,
-    )
-}
-
-/// CLI entry: `cargo xtask determinism [options]`.
-pub fn run(args: &[String]) -> ExitCode {
-    report::run_certifier(&CERTIFIER, args)
-}
-
 // ---------------------------------------------------------------------------
 // Self-tests: one true positive per source class with exact spans,
-// receiver-typed precision, DETER-OK suppression, the warm-up fence, and
-// the live workspace certificate.
+// receiver-typed precision, DETER-OK suppression, and the warm-up fence.
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Baseline;
-    use crate::lint::workspace_root;
-    use crate::report::{load_perimeter, Certificate, BASELINE_FILE};
+    use crate::certifier::certify_source;
+    use crate::rules::Summary;
 
-    fn cert(src: &str, entries: &[&str], warm: &[&str]) -> Certificate {
-        let e: Vec<String> = entries.iter().map(|s| s.to_string()).collect();
-        let w: Vec<String> = warm.iter().map(|s| s.to_string()).collect();
-        certify(vec![SourceFile::from_source("fixture.rs", src)], &e, &w)
-            .expect("fixture specs resolve")
+    fn cert(
+        src: &str,
+        entries: &'static [&'static str],
+        warm_up: &'static [&'static str],
+    ) -> Summary {
+        let spec = Certifier {
+            entries,
+            warm_up,
+            ..CERTIFIER
+        };
+        certify_source("fixture.rs", src, &spec)
     }
 
     #[test]
@@ -345,7 +298,6 @@ fn touch(_k: u32) {}
 ";
         let c = cert(src, &["entry"], &[]);
         let kinds: Vec<(&str, usize)> = c
-            .summary
             .findings
             .iter()
             .map(|f| (f.message.split(';').next().expect("kind"), f.line))
@@ -369,7 +321,7 @@ fn touch(_k: u32) {}
                 (".keys() on `HashMap` iterates in RandomState order", 9),
             ]
         );
-        let for_loop = &c.summary.findings[1];
+        let for_loop = &c.findings[1];
         assert_eq!(
             for_loop.col,
             src.lines().nth(2).expect("l3").find("&m").expect("pos") + 2,
@@ -395,10 +347,10 @@ impl Index {
 ";
         let c = cert(src, &["Index::entry"], &[]);
         assert!(
-            c.summary.findings.is_empty(),
+            c.findings.is_empty(),
             "Vec/BTreeMap iteration, integer sum, and debug-only hash use \
              are all deterministic: {:?}",
-            c.summary.findings
+            c.findings
         );
     }
 
@@ -418,8 +370,8 @@ fn helper(mystery: &M) -> usize {
 }
 ";
         let c = cert(src, &["entry"], &[]);
-        assert_eq!(c.summary.findings.len(), 1);
-        assert!(c.summary.findings[0]
+        assert_eq!(c.findings.len(), 1);
+        assert!(c.findings[0]
             .message
             .contains("HashMap::with_capacity() builds a RandomState-hashed container"));
     }
@@ -436,9 +388,9 @@ fn entry(scratch: &mut Scratch) -> u32 {
 fn post(_m: M, _t: T) -> u32 { 0 }
 ";
         let c = cert(src, &["entry"], &[]);
-        assert_eq!(c.summary.findings.len(), 1, "only the clock read fires");
-        assert_eq!(c.summary.findings[0].line, 4);
-        assert_eq!(c.summary.justified.get(Rule::Determinism.key()), Some(&1));
+        assert_eq!(c.findings.len(), 1, "only the clock read fires");
+        assert_eq!(c.findings[0].line, 4);
+        assert_eq!(c.justified.get(Rule::Determinism.key()), Some(&1));
     }
 
     #[test]
@@ -457,62 +409,10 @@ impl Engine {
         let c = cert(src, &["Engine::serve"], &["new"]);
         // Only step's clock read is a finding: `new` may hash and time
         // freely because its outputs are canonicalized before serving.
-        assert_eq!(c.summary.findings.len(), 1);
-        assert_eq!(c.summary.findings[0].line, 3);
-        assert!(c.summary.findings[0]
+        assert_eq!(c.findings.len(), 1);
+        assert_eq!(c.findings[0].line, 3);
+        assert!(c.findings[0]
             .message
             .contains("Engine::serve → Engine::step"));
-    }
-
-    #[test]
-    fn missing_entry_and_warm_up_specs_are_hard_errors() {
-        let files = || vec![SourceFile::from_source("fixture.rs", "fn real() {}\n")];
-        let err = certify(files(), &["gone".to_string()], &[])
-            .err()
-            .expect("stale entry spec must be a hard error");
-        assert!(err.contains("gone"));
-        let err = certify(files(), &["real".to_string()], &["fenced_away".to_string()])
-            .err()
-            .expect("stale warm-up spec must be a hard error");
-        assert!(err.contains("fenced_away") && err.contains("warm-up"));
-    }
-
-    // ---- the live workspace ------------------------------------------------
-
-    #[test]
-    fn live_workspace_certificate_holds() {
-        let specs: Vec<String> = STEADY_ENTRIES.map(str::to_string).to_vec();
-        let warm: Vec<String> = WARM_UP.map(str::to_string).to_vec();
-        let cert = certify(load_perimeter(), &specs, &warm).expect("all specs resolve");
-        assert!(
-            cert.summary.files_scanned > 20,
-            "suspiciously small perimeter"
-        );
-        for (spec, resolved) in &cert.entries {
-            assert!(!resolved.is_empty(), "entry {spec} resolved to nothing");
-        }
-        let baseline =
-            Baseline::load(&workspace_root().join(BASELINE_FILE)).expect("baseline parses");
-        let key = Rule::Determinism.key();
-        let deter_entries: Vec<_> = baseline
-            .entries
-            .into_iter()
-            .filter(|e| e.rule == key)
-            .collect();
-        let ratchet = Baseline {
-            note: String::new(),
-            entries: deter_entries,
-        }
-        .apply(&cert.summary.findings);
-        let report: Vec<String> = ratchet.new.iter().map(ToString::to_string).collect();
-        assert!(
-            ratchet.new.is_empty(),
-            "unjustified nondeterminism sites:\n{}",
-            report.join("\n")
-        );
-        assert!(
-            ratchet.stale.is_empty(),
-            "stale determinism baseline entries"
-        );
     }
 }

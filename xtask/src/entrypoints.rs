@@ -1,10 +1,10 @@
-//! The serving entry-point model shared by the reachability certifiers
+//! The serving entry-point model shared by the call-graph certificates
 //! and the token-level H1 hot-loop lint.
 //!
-//! `cargo xtask allocs` splits the serving lifecycle in two, following
-//! the paper's own phase structure (heap *generation* happens once per
-//! query term via the Heap Generator, then the Algorithm 1/3 loops only
-//! *extract*):
+//! The `alloc-reachability` and `determinism` certificates split the
+//! serving lifecycle in two, following the paper's own phase structure
+//! (heap *generation* happens once per query term via the Heap
+//! Generator, then the Algorithm 1/3 loops only *extract*):
 //!
 //! * **Steady state** — [`STEADY_ENTRIES`]: the query processors, the
 //!   batch executor, the d-ary heap kernel ops and inverted-heap
@@ -21,21 +21,24 @@
 //! enforced by the live-workspace test below.
 //!
 //! This module is also the single registration point for every
-//! certifier's *perimeter*: [`CERT_DIRS`] (the shared reachability
-//! perimeter of `panics`/`allocs`/`determinism`), [`PANIC_ENTRIES`] (the
-//! panic certificate's serving surface), and [`TAINT_DIRS`] (the taint
-//! certifier's wider perimeter, which adds the facade + CLI where
-//! untrusted files enter). A future server crate registers its frame
-//! parser here — one table, every certificate widens together.
+//! certificate's *perimeter*: [`CERT_DIRS`] (the shared reachability
+//! perimeter), [`PANIC_ENTRIES`] (the panic certificate's serving
+//! surface), and [`TAINT_DIRS`] (the taint certificate's wider perimeter,
+//! which adds the facade + CLI where untrusted files enter).
 
-/// The certified perimeter, relative to the workspace root: the five
-/// hot-path crates, closed under the `kspin-core::modules` trait dispatch
-/// (every `NetworkDistance` / `LowerBound` implementation lives inside
-/// it). `crates/ch` is certified too: its point-to-point query serves
-/// distances behind the facade's CH adapter, and its PHAST/RPHAST
-/// one-to-many kernels are steady-state entry points in their own right.
-/// HL, G-tree and the other baselines remain offline crates no certified
-/// path calls into.
+/// The certified perimeter, relative to the workspace root: the graph,
+/// ALT, NVD, core, CH and snapshot crates. Inside it, the
+/// `kspin-core::modules` trait dispatch reaches the core's own
+/// `NetworkDistance` / `LowerBound` implementations (Dijkstra, exact and
+/// ALT bounds). `crates/ch` is certified too: its PHAST/RPHAST one-to-many
+/// kernels are steady-state entry points in their own right.
+///
+/// The perimeter does **not** hold every distance module the engine
+/// serves with: the CH, HL and G-tree adapters in `src/adapters.rs` and
+/// all of `crates/hl` lie outside it, so the HL distance layer is
+/// uncertified. Widening it to `src` adds one alloc finding
+/// (`src/lib.rs`, reached only through the `.terms()` name fan-out from
+/// `top_k_with`) and nothing else; that widening is a separate change.
 pub const CERT_DIRS: [&str; 6] = [
     "crates/graph/src",
     "crates/alt/src",
@@ -105,19 +108,15 @@ pub const STEADY_ENTRIES: [&str; 14] = [
 /// Warm-up boundary specs, resolved with entry-point semantics (a bare
 /// name matches every certified fn of that name — `new` covers every
 /// constructor, `build` every index build). Reachability never crosses
-/// into these items: they may allocate freely. `Contractor::run` is the
-/// CH preprocessing driver, only ever called from
-/// `ContractionHierarchy::build`; it is fenced by name because the
-/// conservative resolver would otherwise link it from `ServingQuery::run`.
-/// `SnapshotWriter::push` and `Pool::take` are snapshot persist/load-time
-/// code (never on the serving path), fenced by name for the same reason:
-/// the resolver would link them from the heap kernel's `push` and the
-/// query processors' iterator `take` call sites.
-pub const WARM_UP: [&str; 6] = [
+/// into these items: they may allocate freely. `SnapshotWriter::push`
+/// and `Pool::take` are snapshot persist/load-time code (never on the
+/// serving path), fenced by name because the conservative resolver would
+/// otherwise link them from the heap kernel's `push` and the query
+/// processors' iterator `take` call sites.
+pub const WARM_UP: [&str; 5] = [
     "new",
     "build",
     "InvertedHeap::create",
-    "Contractor::run",
     "SnapshotWriter::push",
     "Pool::take",
 ];
@@ -146,14 +145,15 @@ pub fn hot_loop_scope(rel: &str) -> bool {
 mod tests {
     use super::*;
     use crate::callgraph::CallGraph;
-    use crate::report::load_perimeter;
+    use crate::certifier::within;
+    use crate::lint::{load_sources, workspace_root};
 
-    /// The derivation contract of satellite H1 realignment: H1's scope is
-    /// not a hand-maintained list that can drift — every file defining a
-    /// steady-state entry point is hot-loop scope, live on the workspace.
+    /// H1's scope is not a hand-maintained list that can drift — every
+    /// file defining a steady-state entry point is hot-loop scope, live
+    /// on the workspace.
     #[test]
     fn hot_loop_scope_covers_every_steady_entry_definition() {
-        let files = load_perimeter();
+        let files = within(&load_sources(&workspace_root()), &CERT_DIRS);
         let graph = CallGraph::build(&files);
         for spec in STEADY_ENTRIES {
             let resolved = graph.resolve_entry(spec);
@@ -162,7 +162,7 @@ mod tests {
                 "steady entry {spec} resolves to nothing"
             );
             for idx in resolved {
-                let file = &graph.items[idx].file;
+                let file = &files[graph.items[idx].file_idx].rel;
                 assert!(
                     hot_loop_scope(file),
                     "steady entry {spec} is defined in {file}, which is outside \
@@ -177,7 +177,7 @@ mod tests {
     /// in the *unsound* direction.
     #[test]
     fn warm_up_specs_resolve_on_the_live_workspace() {
-        let files = load_perimeter();
+        let files = within(&load_sources(&workspace_root()), &CERT_DIRS);
         let graph = CallGraph::build(&files);
         for spec in WARM_UP {
             assert!(
@@ -213,7 +213,7 @@ mod tests {
     /// warm-up specs above.
     #[test]
     fn panic_entries_resolve_on_the_live_workspace() {
-        let files = load_perimeter();
+        let files = within(&load_sources(&workspace_root()), &CERT_DIRS);
         let graph = CallGraph::build(&files);
         for spec in PANIC_ENTRIES {
             assert!(

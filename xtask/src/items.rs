@@ -38,11 +38,11 @@ pub struct Item {
     /// narrowing in the call graph.
     #[cfg_attr(not(test), allow(dead_code))]
     pub trait_name: Option<String>,
-    /// Workspace-relative path of the defining file.
-    pub file: String,
     /// Index into the file list handed to the parser batch.
     pub file_idx: usize,
-    /// 1-based source line of the `fn` keyword.
+    /// 1-based source line of the `fn` keyword. Read by the parser
+    /// fixtures.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub line: usize,
     /// Code-token index range `[start, end)` of the body *interior*
     /// (between the braces). Empty for bodyless trait signatures.
@@ -267,7 +267,6 @@ fn parse_fn(
                     name,
                     self_type: ctx.self_type.clone(),
                     trait_name: ctx.trait_name.clone(),
-                    file: file.rel.clone(),
                     file_idx,
                     line: tok(file, k).line,
                     body: (j, j),
@@ -288,7 +287,6 @@ fn parse_fn(
         name,
         self_type: ctx.self_type.clone(),
         trait_name: ctx.trait_name.clone(),
-        file: file.rel.clone(),
         file_idx,
         line: tok(file, k).line,
         body: (j + 1, close),

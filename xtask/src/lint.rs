@@ -1,18 +1,24 @@
-//! `cargo xtask lint` — the K-SPIN custom lint wall, v2.
+//! `cargo xtask lint` — the K-SPIN lint wall and the repo's only analysis
+//! command.
 //!
-//! A token-level static-analysis engine: [`crate::lex`] lexes each source
-//! file with byte-accurate spans, [`crate::scope`] adds per-token scope
-//! facts (enclosing item, `#[cfg(test)]` status, loop nesting depth), and
-//! the passes in [`crate::rules`] encode repo policy that rustc/clippy
-//! cannot express — see `cargo xtask lint --list-rules` for the catalog
-//! and docs/ALGORITHMS.md for the rationale of each rule.
+//! Thirteen rules run in one pass. Nine are token-level: [`crate::lex`]
+//! lexes each source file with byte-accurate spans, [`crate::scope`] adds
+//! per-token scope facts (enclosing item, `#[cfg(test)]` status, loop
+//! nesting depth), and the passes in [`crate::rules`] encode repo policy
+//! that rustc/clippy cannot express. The other four are the call-graph
+//! certificates of [`crate::certifier`] (panic, allocation, determinism
+//! and taint). See `cargo xtask lint --list-rules` for the catalog and
+//! docs/ALGORITHMS.md for the rationale of each rule.
 //!
-//! A flagged site is exempted by a justification comment on the same line
-//! or in the contiguous comment block directly above it:
+//! A token-rule site is exempted by a justification comment on the same
+//! line or in the contiguous comment block directly above it:
 //!
 //! ```text
 //! // lint:allow(<rule>) — why this site is provably fine
 //! ```
+//!
+//! The certificates use their own markers with the same placement
+//! (`PANIC-OK`, `ALLOC-OK`, `DETER-OK`, `TAINT-OK`).
 //!
 //! Findings additionally pass through the committed `lint-baseline.json`
 //! ratchet: the run fails only on findings *not* grandfathered there,
@@ -24,7 +30,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use crate::baseline::Ratchet;
+use crate::certifier;
 use crate::report::{self, parse_format, Format};
 use crate::rules::{scan_file, Rule, Summary};
 use crate::scope::SourceFile;
@@ -33,8 +39,9 @@ use crate::scope::SourceFile;
 pub const USAGE: &str = "\
 usage: cargo xtask lint [options] [rule ...]
 
-Runs the K-SPIN lint wall over the workspace sources. With rule keys
-given (e.g. `no-unwrap`), only those rules run.
+Runs the K-SPIN lint wall and the four call-graph certificates over the
+workspace sources. With rule keys given (e.g. `no-unwrap` or
+`panic-reachability`), only those rules run.
 
 options:
   --format <human|json>   report format (json is SARIF-lite; default human)
@@ -65,7 +72,7 @@ fn collect_sources(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-pub(crate) fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -79,17 +86,27 @@ pub(crate) fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Lints the workspace rooted at `root` with the given rules.
-pub fn lint_workspace_rules(root: &Path, rules: &[Rule]) -> Summary {
-    let mut summary = Summary::default();
-    for path in collect_sources(root) {
-        let Some(file) = SourceFile::load(root, &path) else {
-            continue;
-        };
-        summary.files_scanned += 1;
-        scan_file(&file, rules, &mut summary);
+/// Loads every source file the lint wall covers, sorted by path.
+pub fn load_sources(root: &Path) -> Vec<SourceFile> {
+    collect_sources(root)
+        .iter()
+        .filter_map(|path| SourceFile::load(root, path))
+        .collect()
+}
+
+/// Lints the workspace rooted at `root` with the given rules. Errors when
+/// a certificate's entry, warm-up, source or sanitizer spec has rotted.
+pub fn lint_workspace_rules(root: &Path, rules: &[Rule]) -> Result<Summary, String> {
+    let files = load_sources(root);
+    let mut summary = Summary {
+        files_scanned: files.len(),
+        ..Summary::default()
+    };
+    for file in &files {
+        scan_file(file, rules, &mut summary);
     }
-    summary
+    certifier::run(&files, rules, &mut summary)?;
+    Ok(summary)
 }
 
 #[derive(Debug)]
@@ -165,51 +182,19 @@ pub fn run(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let root = workspace_root();
-    let summary = lint_workspace_rules(&root, &opts.rules);
-    // With a rule filter active, entries of unselected rules must not be
-    // reported stale — those rules simply didn't run. (Reachability-rule
-    // entries belong to `cargo xtask panics`/`allocs` and are always
-    // inactive here.)
-    let active: Vec<&str> = opts.rules.iter().map(|r| r.key()).collect();
-    report::finish(
-        "cargo-xtask-lint",
-        &active,
-        &summary,
-        opts.update_baseline,
-        opts.deny_stale,
-        opts.format,
-        Vec::new(),
-        |ratchet| print_human(&opts.rules, &summary, ratchet),
-    )
-}
-
-fn print_human(rules: &[Rule], summary: &Summary, ratchet: &Ratchet) {
-    println!("cargo xtask lint — {} files scanned", summary.files_scanned);
-    for &rule in rules {
-        let total = summary.count(rule);
-        let new = ratchet.new.iter().filter(|f| f.rule == rule).count();
-        let justified = summary.justified_count(rule);
-        let status = if new == 0 { "ok" } else { "FAIL" };
-        println!(
-            "  {:<30} {:>3} new, {:>2} baselined, {:>2} justified   [{status}]",
-            rule.label(),
-            new,
-            total - new,
-            justified
-        );
-    }
-    if !ratchet.new.is_empty() {
-        println!();
-        for f in &ratchet.new {
-            println!("{f}");
-            if !f.snippet.is_empty() {
-                println!("    {}", f.snippet);
-            }
+    match lint_workspace_rules(&workspace_root(), &opts.rules) {
+        Ok(summary) => report::finish(
+            &opts.rules,
+            &summary,
+            opts.update_baseline,
+            opts.deny_stale,
+            opts.format,
+        ),
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
         }
-        println!("\n{} new finding(s)", ratchet.new.len());
     }
-    report::print_stale(ratchet);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,7 +277,7 @@ fn hot(xs: &[u32], d: Weight, w: Weight) -> Weight {
         scan_file(&file, &Rule::ALL, &mut summary);
         let ratchet = Baseline::default().apply(&summary.findings);
 
-        let text = render_json("cargo-xtask-lint", &summary, &ratchet, Vec::new()).render();
+        let text = render_json(&summary, &ratchet).render();
         let doc = json::parse(&text).expect("report must be valid JSON");
         assert_eq!(
             doc.get("tool").and_then(Json::as_str),
@@ -343,8 +328,20 @@ fn hot(xs: &[u32], d: Weight, w: Weight) -> Weight {
     #[test]
     fn live_workspace_passes_the_ratchet() {
         let root = workspace_root();
-        let summary = lint_workspace_rules(&root, &Rule::ALL);
+        let summary = lint_workspace_rules(&root, &Rule::ALL).expect("every spec resolves");
         assert!(summary.files_scanned > 20, "suspiciously few files scanned");
+        for rule in [
+            Rule::PanicReachability,
+            Rule::AllocReachability,
+            Rule::Determinism,
+            Rule::Taint,
+        ] {
+            assert!(
+                summary.justified_count(rule) > 0,
+                "certificate {} justified nothing — did it run?",
+                rule.key()
+            );
+        }
         let baseline = Baseline::load(&root.join(BASELINE_FILE)).expect("baseline parses");
         assert!(
             baseline.entries.len() <= 5,

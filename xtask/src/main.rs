@@ -3,6 +3,7 @@
 mod allocs;
 mod baseline;
 mod callgraph;
+mod certifier;
 mod determinism;
 mod entrypoints;
 mod items;
@@ -21,11 +22,8 @@ const USAGE: &str = "\
 usage: cargo xtask <task> [options]
 
 tasks:
-  lint         run the K-SPIN lint wall (see `cargo xtask lint --help`)
-  panics       certify serving hot paths panic-free (see `cargo xtask panics --help`)
-  allocs       certify serving steady state alloc-free (see `cargo xtask allocs --help`)
-  determinism  certify serving results order-deterministic (see `cargo xtask determinism --help`)
-  taint        certify untrusted input sanitized before every sink (see `cargo xtask taint --help`)
+  lint         run the K-SPIN lint wall and the four call-graph
+               certificates (see `cargo xtask lint --help`)
 
 Run `cargo xtask lint --list-rules` for the rule catalog.";
 
@@ -33,10 +31,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint::run(&args[1..]),
-        Some("panics") => panics::run(&args[1..]),
-        Some("allocs") => allocs::run(&args[1..]),
-        Some("determinism") => determinism::run(&args[1..]),
-        Some("taint") => taint::run(&args[1..]),
         Some("-h" | "--help") => {
             println!("{USAGE}");
             ExitCode::SUCCESS

@@ -1,4 +1,4 @@
-//! `cargo xtask panics` — the call-graph panic-reachability certifier.
+//! `panic-reachability` — the call-graph panic certificate.
 //!
 //! Proves (conservatively) that no panic source is reachable from the
 //! declared serving entry points of the release binary. The pipeline:
@@ -18,58 +18,27 @@
 //! A site that is provably fine carries an inline justification — a
 //! `// PANIC-OK: reason` comment on the line or the contiguous comment
 //! block above — and is counted but not reported. Everything else is a
-//! finding, gated through the same committed `lint-baseline.json` ratchet
-//! as `cargo xtask lint` (rule key `panic-reachability`), so the
-//! certificate can only tighten over time.
-//!
-//! The sweep/ratchet/CLI plumbing lives in the shared driver
-//! ([`crate::report::run_certifier`]); this module is classifier-only.
-
-use std::process::ExitCode;
+//! finding of `cargo xtask lint`, gated through the committed
+//! `lint-baseline.json` ratchet, so the certificate can only tighten over
+//! time. The sweep itself is the shared [`crate::certifier`] driver; this
+//! module is classifier-only.
 
 use crate::callgraph::{body_tokens, CallGraph};
+use crate::certifier::{Certifier, Site};
+use crate::entrypoints::PANIC_ENTRIES;
 use crate::lex::TokenKind;
-use crate::report::{self, Certifier, Hooks, Site};
-use crate::rules::{statement_around, Rule};
+use crate::rules::{float_operand_at, index_expression_at, Rule};
 use crate::scope::SourceFile;
 
-/// The serving entry points the certificate quantifies over, registered
-/// with the other certifier perimeters in [`crate::entrypoints`].
-pub use crate::entrypoints::PANIC_ENTRIES as DEFAULT_ENTRIES;
-
-/// CLI usage.
-pub const USAGE: &str = "\
-usage: cargo xtask panics [options]
-
-Certifies that no unjustified panic source is reachable from the serving
-entry points (see --list-entries). Sites are exempted by an inline
-`// PANIC-OK: reason` comment; remaining findings pass through the
-lint-baseline.json ratchet under the `panic-reachability` rule.
-
-options:
-  --format <human|json>   report format (json is SARIF-lite; default human)
-  --entry <Type::method>  add an entry point (repeatable; replaces defaults)
-  --list-entries          print the default entry points
-  --update-baseline       rewrite lint-baseline.json from current findings
-  --deny-stale            fail when baseline entries no longer fire (CI)
-  -h, --help              show this help";
-
-/// The certifier description block the shared driver runs from.
-const CERTIFIER: Certifier = Certifier {
-    tool: "cargo-xtask-panics",
-    name: "panics",
-    usage: USAGE,
+/// The certificate: no warm-up boundary — panics are certified over the
+/// *whole* serving surface.
+pub const CERTIFIER: Certifier = Certifier {
     rule: Rule::PanicReachability,
-    default_entries: &DEFAULT_ENTRIES,
+    entries: &PANIC_ENTRIES,
     warm_up: &[],
-    marker: "PANIC-OK",
-    reach_adjective: "reachable",
-    noun: "panic-reachable",
-    hooks: Hooks {
-        classify: panic_sites,
-        justified: SourceFile::panic_justified,
-        dedup: None,
-    },
+    classify: panic_sites,
+    justified: SourceFile::panic_justified,
+    dedup: None,
 };
 
 /// Classifies every panic source in the certified body of `items[idx]`.
@@ -116,20 +85,8 @@ pub fn panic_sites(file: &SourceFile, graph: &CallGraph, idx: usize) -> Vec<Site
                     }
                 }
             }
-            TokenKind::Punct if t.text == "[" => {
-                // An index/slice *expression*: `expr[` — the previous token
-                // ends an expression. Types (`&[u32]`), array literals
-                // (`= [0; n]`), attributes (`#[`), and macros (`vec![`)
-                // all have non-expression predecessors.
-                let indexes = prev(1).is_some_and(|p| {
-                    matches!(p.kind, TokenKind::Ident | TokenKind::NumLit)
-                        && !KEYWORDS_BEFORE_BRACKET.contains(&p.text.as_str())
-                        || p.is_punct(")")
-                        || p.is_punct("]")
-                });
-                if indexes {
-                    out.push(site("index expression out of bounds"));
-                }
+            TokenKind::Punct if t.text == "[" && index_expression_at(file, k) => {
+                out.push(site("index expression out of bounds"));
             }
             TokenKind::Punct
                 if matches!(t.text.as_str(), "/" | "%" | "/=" | "%=")
@@ -143,27 +100,12 @@ pub fn panic_sites(file: &SourceFile, graph: &CallGraph, idx: usize) -> Vec<Site
     out
 }
 
-/// Identifiers that may directly precede a `[` without ending an
-/// expression (`return [a, b]`, `in [0, 1]`, …).
-const KEYWORDS_BEFORE_BRACKET: [&str; 6] = ["return", "in", "else", "match", "mut", "dyn"];
-
 /// Whether the `/`, `%`, `/=` or `%=` at code index `k` can panic:
-/// integer operands with a divisor that is not a non-zero literal.
-/// Float evidence anywhere in the statement (an `f32`/`f64` token or a
-/// float literal) clears the site — float division never panics.
+/// integer operands with a divisor that is not a non-zero literal. An
+/// immediate float operand clears the site — float division never panics.
 fn int_division_panics(file: &SourceFile, k: usize) -> bool {
-    let (start, end) = statement_around(file, k);
-    for j in start..end {
-        let t = &file.tokens[file.code[j]];
-        match t.kind {
-            TokenKind::Ident if t.text == "f64" || t.text == "f32" => return false,
-            TokenKind::NumLit
-                if t.text.contains('.') || t.text.ends_with("f64") || t.text.ends_with("f32") =>
-            {
-                return false;
-            }
-            _ => {}
-        }
+    if float_operand_at(file, k) {
+        return false;
     }
     // Divisor is the next code token; a non-zero integer literal cannot
     // raise the div-by-zero panic (and `MIN / -1` needs a negative
@@ -194,44 +136,26 @@ fn literal_value(text: &str) -> Option<u128> {
     u128::from_str_radix(digits, radix).ok()
 }
 
-/// Runs the analysis over `files` from the given entry specs (no warm-up
-/// boundary — panics are certified over the *whole* serving surface).
-/// Test-facing twin of the [`run`] CLI path.
-#[cfg(test)]
-pub fn certify(
-    files: Vec<SourceFile>,
-    entry_specs: &[String],
-) -> Result<report::Certificate, String> {
-    report::certify(
-        files,
-        entry_specs,
-        &[],
-        Rule::PanicReachability,
-        &CERTIFIER.hooks,
-    )
-}
-
-/// CLI entry: `cargo xtask panics [options]`.
-pub fn run(args: &[String]) -> ExitCode {
-    report::run_certifier(&CERTIFIER, args)
-}
-
 // ---------------------------------------------------------------------------
 // Self-tests: the classifier on planted fixtures, caught and justified
-// chains end-to-end, and the live workspace certificate.
+// chains end-to-end, and spec rot as a hard error.
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Baseline;
-    use crate::lint::workspace_root;
-    use crate::report::{load_perimeter, Certificate, BASELINE_FILE};
+    use crate::certifier::{certify, certify_source};
+    use crate::rules::Summary;
 
-    fn cert(src: &str, entries: &[&str]) -> Certificate {
-        let specs: Vec<String> = entries.iter().map(|s| s.to_string()).collect();
-        certify(vec![SourceFile::from_source("fixture.rs", src)], &specs)
-            .expect("fixture entries resolve")
+    fn cert(src: &str, entries: &'static [&'static str]) -> Summary {
+        certify_source(
+            "fixture.rs",
+            src,
+            &Certifier {
+                entries,
+                ..CERTIFIER
+            },
+        )
     }
 
     #[test]
@@ -249,7 +173,6 @@ fn entry(xs: &[u32], n: usize, d: u32) -> u32 {
 ";
         let c = cert(src, &["entry"]);
         let kinds: Vec<(&str, usize)> = c
-            .summary
             .findings
             .iter()
             .map(|f| (f.message.split(';').next().expect("kind"), f.line))
@@ -266,7 +189,7 @@ fn entry(xs: &[u32], n: usize, d: u32) -> u32 {
                 ("panic! macro", 8),
             ]
         );
-        let unwrap = &c.summary.findings[0];
+        let unwrap = &c.findings[0];
         assert_eq!(
             unwrap.col,
             src.lines().nth(1).expect("l2").find("unwrap").expect("pos") + 1
@@ -290,18 +213,13 @@ fn entry(xs: &[u32], n: usize) -> u32 {
 fn audit(xs: &[u32]) { assert!(xs[0] > 0); }
 ";
         let c = cert(src, &["entry"]);
-        let msgs: Vec<&str> = c
-            .summary
-            .findings
-            .iter()
-            .map(|f| f.snippet.as_str())
-            .collect();
+        let msgs: Vec<&str> = c.findings.iter().map(|f| f.snippet.as_str()).collect();
         assert_eq!(
-            c.summary.findings.len(),
+            c.findings.len(),
             1,
             "only the constant-index d[0] may fire: {msgs:?}"
         );
-        assert!(c.summary.findings[0].snippet.contains("d[0]"));
+        assert!(c.findings[0].snippet.contains("d[0]"));
     }
 
     #[test]
@@ -315,17 +233,14 @@ fn kernel() { deep.unwrap(); }
 fn offline() { other[9]; }
 ";
         let c = cert(src, &["Engine::serve"]);
-        assert_eq!(c.summary.findings.len(), 1);
-        let f = &c.summary.findings[0];
+        assert_eq!(c.findings.len(), 1);
+        let f = &c.findings[0];
         assert!(
             f.message.contains("Engine::serve → Engine::step → kernel"),
             "chain missing: {}",
             f.message
         );
-        assert!(
-            !c.summary.findings.iter().any(|f| f.line == 6),
-            "offline fn fired"
-        );
+        assert!(!c.findings.iter().any(|f| f.line == 6), "offline fn fired");
     }
 
     #[test]
@@ -339,28 +254,46 @@ fn entry(xs: &[u32], i: usize) -> u32 {
 }
 ";
         let c = cert(src, &["entry"]);
-        assert_eq!(
-            c.summary.findings.len(),
-            1,
-            "only the unjustified line fires"
-        );
-        assert_eq!(c.summary.findings[0].line, 4);
-        assert_eq!(
-            c.summary.justified.get(Rule::PanicReachability.key()),
-            Some(&1)
-        );
+        assert_eq!(c.findings.len(), 1, "only the unjustified line fires");
+        assert_eq!(c.findings[0].line, 4);
+        assert_eq!(c.justified.get(Rule::PanicReachability.key()), Some(&1));
     }
 
     #[test]
-    fn missing_entry_points_are_a_hard_error() {
-        let err = match certify(
-            vec![SourceFile::from_source("fixture.rs", "fn real() {}\n")],
-            &["Engine::renamed_away".to_string()],
-        ) {
-            Err(msg) => msg,
-            Ok(_) => panic!("stale entry spec must be a hard error"),
+    fn float_clearing_needs_an_immediate_float_operand() {
+        // A cast of the whole quotient does not make the division float.
+        let src = "\
+fn entry(total: usize, count: usize) -> f64 {
+    let avg = (total / count) as f64;
+    let share = total as f64 / count as f64;
+    let ms = t.as_secs_f64() / count;
+    avg + share + ms
+}
+";
+        let c = cert(src, &["entry"]);
+        let lines: Vec<usize> = c.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2], "{:?}", c.findings);
+    }
+
+    #[test]
+    fn missing_entry_and_warm_up_specs_are_hard_errors() {
+        let files = [SourceFile::from_source("fixture.rs", "fn real() {}\n")];
+        let graph = CallGraph::build(&files);
+        let gone_entry = Certifier {
+            entries: &["Engine::renamed_away"],
+            ..CERTIFIER
         };
+        let err = certify(&files, &graph, &gone_entry)
+            .expect_err("stale entry spec must be a hard error");
         assert!(err.contains("renamed_away"));
+        let gone_fence = Certifier {
+            entries: &["real"],
+            warm_up: &["fenced_away"],
+            ..CERTIFIER
+        };
+        let err = certify(&files, &graph, &gone_fence)
+            .expect_err("stale warm-up spec must be a hard error");
+        assert!(err.contains("fenced_away") && err.contains("warm-up"));
     }
 
     #[test]
@@ -370,43 +303,5 @@ fn entry(xs: &[u32], i: usize) -> u32 {
         assert_eq!(literal_value("0x10"), Some(16));
         assert_eq!(literal_value("1_000u64"), Some(1000));
         assert_eq!(literal_value("0b0"), Some(0));
-    }
-
-    // ---- the live workspace ------------------------------------------------
-
-    #[test]
-    fn live_workspace_certificate_holds() {
-        let specs: Vec<String> = DEFAULT_ENTRIES.map(str::to_string).to_vec();
-        let cert = certify(load_perimeter(), &specs).expect("all entry points resolve");
-        assert!(
-            cert.summary.files_scanned > 20,
-            "suspiciously small perimeter"
-        );
-        for (spec, resolved) in &cert.entries {
-            assert!(!resolved.is_empty(), "entry {spec} resolved to nothing");
-        }
-        let baseline =
-            Baseline::load(&workspace_root().join(BASELINE_FILE)).expect("baseline parses");
-        let key = Rule::PanicReachability.key();
-        let panic_entries: Vec<_> = baseline
-            .entries
-            .into_iter()
-            .filter(|e| e.rule == key)
-            .collect();
-        let ratchet = Baseline {
-            note: String::new(),
-            entries: panic_entries,
-        }
-        .apply(&cert.summary.findings);
-        let report: Vec<String> = ratchet.new.iter().map(ToString::to_string).collect();
-        assert!(
-            ratchet.new.is_empty(),
-            "unjustified panic-reachable sites:\n{}",
-            report.join("\n")
-        );
-        assert!(
-            ratchet.stale.is_empty(),
-            "stale panic-reachability baseline entries"
-        );
     }
 }

@@ -7,8 +7,9 @@
 //! kernel, VN3 kNN, the one-to-many sweeps and the snapshot validator. Per-iteration allocation is
 //! exactly the defect class the kNN experimentation literature blames
 //! for order-of-magnitude slowdowns; hoist a scratch buffer out of the
-//! loop or justify the site. `cargo xtask allocs` deduplicates against
-//! these token-level spans so a site is reported by exactly one pass.
+//! loop or justify the site. The `alloc-reachability` certificate
+//! deduplicates against these token-level spans so a site is reported by
+//! exactly one pass.
 
 use crate::entrypoints::hot_loop_scope;
 use crate::rules::{record, scope, tok, tok_is, Rule, Summary};
@@ -24,9 +25,10 @@ const ALLOC_CTORS: [&str; 2] = ["Vec", "Box"];
 const ALLOC_MACROS: [&str; 2] = ["format", "vec"];
 
 /// Every token-level H1 match in `file` *before* justification handling:
-/// `(line, col, message)`. Shared with `cargo xtask allocs`, which drops
-/// its own classifier sites at these exact spans — H1 is the front line
-/// for in-loop allocation, whether reported or `lint:allow`ed.
+/// `(line, col, message)`. Shared with the `alloc-reachability`
+/// certificate, which drops its own classifier sites at these exact
+/// spans — H1 is the front line for in-loop allocation, whether reported
+/// or `lint:allow`ed.
 pub(crate) fn matches(file: &SourceFile) -> Vec<(usize, usize, String)> {
     let mut out = Vec::new();
     if !hot_loop_scope(&file.rel) {

@@ -282,6 +282,7 @@ fn scan_attribute(tokens: &[Token], i: usize) -> (Option<usize>, bool) {
 // ---------------------------------------------------------------------------
 
 /// A parsed source file ready for rule scans.
+#[derive(Clone)]
 pub struct SourceFile {
     /// Workspace-relative path, forward slashes.
     pub rel: String,

@@ -1,20 +1,18 @@
-//! `cargo xtask taint` — the untrusted-input flow certifier.
+//! `taint-flow` — the untrusted-input flow certificate.
 //!
-//! The three reachability certifiers (`panics`, `allocs`, `determinism`)
-//! answer "what can this entry point *do*?". This one answers the dual
-//! question for the snapshot/serving boundary: "where can untrusted
-//! *bytes* go?" — and proves every source→sink flow crosses a sanitizer
-//! or carries a reviewed `TAINT-OK(reason)` justification.
+//! The three reachability certificates (`panic-reachability`,
+//! `alloc-reachability`, `determinism`) answer "what can this entry point
+//! *do*?". This one answers the dual question for the snapshot/serving
+//! boundary: "where can untrusted *bytes* go?" — and proves every
+//! source→sink flow crosses a sanitizer or carries a reviewed
+//! `TAINT-OK(reason)` justification.
 //!
 //! The model has three vocabularies, registered in this module:
 //!
 //! * **Sources** ([`SOURCE_CLASSES`]): where attacker-controlled values
 //!   enter. `snapshot-bytes` is every typed section accessor of
-//!   [`SnapshotFile`] plus raw `from_le_bytes` decoding; `cli-path` is
-//!   file reads named on the command line (`fs::read`); `network` is
-//!   registered but intentionally empty — the reserved class the
-//!   kspin-server front-end (ROADMAP item 1) must populate before its
-//!   frame parser ships.
+//!   `SnapshotFile` plus raw `from_le_bytes` decoding; `cli-path` is
+//!   file reads named on the command line (`fs::read`).
 //! * **Sanitizers** ([`SANITIZERS`]): the hand-audited validation
 //!   boundary. `SnapshotFile::validate` (structural: checksums, offsets,
 //!   lengths), the `Pool`/`decoded_usize`/`len_field` checked-extraction
@@ -38,36 +36,17 @@
 //! tainted body directly, sanitizer bodies are hand-audited, and the
 //! conservative edge set still backs the panic/alloc certificates.
 //!
-//! Like its three siblings, the tool burns findings to zero: fix the
-//! flow (checked conversion, destructuring `let`, capacity clamp) or
+//! Like its three siblings, the certificate burns findings to zero: fix
+//! the flow (checked conversion, destructuring `let`, capacity clamp) or
 //! justify the site with `TAINT-OK(reason)` on the line or the comment
-//! block above it. Findings ride the shared `lint-baseline.json` ratchet
-//! under rule `taint-flow`; `--deny-stale` arms the shrink direction.
+//! block above it. Findings are `cargo xtask lint` findings under rule
+//! `taint-flow`, riding the shared `lint-baseline.json` ratchet.
 
-use std::process::ExitCode;
-
-use crate::baseline::Ratchet;
 use crate::callgraph::{body_tokens, CallGraph};
-use crate::json::Json;
+use crate::certifier::{sort_findings, Site};
 use crate::lex::TokenKind;
-use crate::report::{self, print_stale, to_f64, Format, Site};
-use crate::rules::{statement_around, tok, Finding, Rule, Summary};
+use crate::rules::{float_operand_at, index_expression_at, tok, Finding, Rule, Summary};
 use crate::scope::SourceFile;
-
-const USAGE: &str = "\
-usage: cargo xtask taint [options]
-
-Certifies that no untrusted input (snapshot bytes, CLI file paths)
-reaches a dangerous sink (indexing, capacity, unchecked arithmetic,
-id constructors) without crossing a sanitizer, over the typed call
-graph of the snapshot + serving perimeter.
-
-options:
-  --format <human|json>   report format (default human)
-  --list-sources          print the source classes and sanitizer registry
-  --update-baseline       rewrite lint-baseline.json from current findings
-  --deny-stale            fail when baselined findings no longer fire
-  -h, --help              this help";
 
 /// One class of untrusted-input entry points: named fns (resolved like
 /// entry specs, hard error on rot) plus `::`-path token patterns matched
@@ -79,13 +58,10 @@ pub struct SourceClass {
     /// Call-path patterns (`fs::read`, `from_le_bytes`) seeding the
     /// containing fn.
     pub patterns: &'static [&'static str],
-    /// Whether the class may match nothing — only for classes reserved
-    /// for code that does not exist yet (the network front-end).
-    pub allow_empty: bool,
 }
 
 /// The registered source classes. Order is report order.
-pub const SOURCE_CLASSES: [SourceClass; 3] = [
+pub const SOURCE_CLASSES: [SourceClass; 2] = [
     SourceClass {
         name: "snapshot-bytes",
         specs: &[
@@ -99,22 +75,11 @@ pub const SOURCE_CLASSES: [SourceClass; 3] = [
             "SnapshotFile::sections",
         ],
         patterns: &["from_le_bytes"],
-        allow_empty: false,
     },
     SourceClass {
         name: "cli-path",
         specs: &[],
         patterns: &["fs::read", "fs::read_to_string"],
-        allow_empty: false,
-    },
-    SourceClass {
-        name: "network",
-        specs: &[],
-        patterns: &[],
-        // Reserved: the kspin-server frame parser registers its specs
-        // here before ROADMAP item 1 ships; until then the class is
-        // intentionally empty.
-        allow_empty: true,
     },
 ];
 
@@ -158,12 +123,6 @@ const CAPACITY_SINKS: [&str; 5] = [
 /// handle launders it past every downstream bounds contract.
 const ID_CTORS: [&str; 3] = ["VertexId", "ObjectId", "TermId"];
 
-/// Identifiers that may precede `[` without ending an expression. The
-/// panic classifier's list plus `let` (slice-destructuring `let [a, b] =`
-/// is a *pattern*, and the checked alternative this tool pushes decode
-/// code toward).
-const KEYWORDS_BEFORE_BRACKET: [&str; 7] = ["return", "in", "else", "match", "mut", "dyn", "let"];
-
 /// Identifier keywords that cannot be the left operand of arithmetic.
 const NON_OPERAND_KEYWORDS: [&str; 15] = [
     "return", "in", "else", "match", "if", "while", "let", "mut", "as", "break", "continue",
@@ -179,12 +138,6 @@ pub struct TaintAnalysis {
     pub tainted: Vec<Option<usize>>,
     /// BFS predecessor for chain rendering; `Some(i)` marks a seed.
     pub parent: Vec<Option<usize>>,
-    /// Class names, parallel to the `tainted` indices.
-    pub class_names: Vec<String>,
-    /// Seeded fns per class (fns that call a source / match a pattern).
-    pub seeds_per_class: Vec<usize>,
-    /// Resolved sanitizer fn count.
-    pub sanitizer_fns: usize,
     /// Unjustified findings under [`Rule::Taint`].
     pub summary: Summary,
 }
@@ -252,19 +205,8 @@ pub fn taint_sinks(file: &SourceFile, graph: &CallGraph, idx: usize) -> Vec<Site
             what,
         };
         match t.kind {
-            TokenKind::Punct if t.text == "[" => {
-                // An index *expression*: the previous token ends an
-                // expression (same shape test as the panic classifier;
-                // `let [a, b] =` destructuring is a pattern, not a sink).
-                let indexes = prev(1).is_some_and(|p| {
-                    matches!(p.kind, TokenKind::Ident | TokenKind::NumLit)
-                        && !KEYWORDS_BEFORE_BRACKET.contains(&p.text.as_str())
-                        || p.is_punct(")")
-                        || p.is_punct("]")
-                });
-                if indexes {
-                    out.push(site("slice index on decoded data".to_string()));
-                }
+            TokenKind::Punct if t.text == "[" && index_expression_at(file, k) => {
+                out.push(site("slice index on decoded data".to_string()));
             }
             TokenKind::Punct if matches!(t.text.as_str(), "+" | "-" | "*" | "+=" | "-=" | "*=") => {
                 let operand = prev(1).is_some_and(|p| {
@@ -273,7 +215,7 @@ pub fn taint_sinks(file: &SourceFile, graph: &CallGraph, idx: usize) -> Vec<Site
                         || p.is_punct(")")
                         || p.is_punct("]")
                 });
-                if operand && !statement_is_checked_or_float(file, k) {
+                if operand && !float_operand_at(file, k) {
                     out.push(site(format!(
                         "unchecked `{}` arithmetic on decoded value",
                         t.text
@@ -315,82 +257,31 @@ pub fn taint_sinks(file: &SourceFile, graph: &CallGraph, idx: usize) -> Vec<Site
     out
 }
 
-/// Whether the statement around code index `k` shows float evidence (its
-/// arithmetic is weight math, not offset math) or already goes through a
-/// `checked_`/`saturating_`/`wrapping_` helper.
-fn statement_is_checked_or_float(file: &SourceFile, k: usize) -> bool {
-    let (start, end) = statement_around(file, k);
-    for j in start..end {
-        let t = tok(file, j);
-        match t.kind {
-            TokenKind::Ident
-                if t.text == "f64"
-                    || t.text == "f32"
-                    || t.text.ends_with("_f64")
-                    || t.text.ends_with("_f32")
-                    || t.text.starts_with("checked_")
-                    || t.text.starts_with("saturating_")
-                    || t.text.starts_with("wrapping_") =>
-            {
-                return true;
-            }
-            TokenKind::NumLit if is_float_literal(&t.text) => {
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
-/// Whether a numeric literal is a float: a decimal point, an `f32`/`f64`
-/// suffix, or a scientific-notation exponent (`1e3`). Radix-prefixed
-/// literals (`0x1E3`) are always integers — their `e`/`E` is a hex digit
-/// — and the `e` of an integer suffix (`3usize`) never follows a digit.
-fn is_float_literal(text: &str) -> bool {
-    if text.starts_with("0x") || text.starts_with("0X") {
-        return false;
-    }
-    if text.contains('.') || text.ends_with("f64") || text.ends_with("f32") {
-        return true;
-    }
-    let b = text.as_bytes();
-    b.iter().enumerate().any(|(i, &c)| {
-        (c == b'e' || c == b'E')
-            && i > 0
-            && b[i - 1].is_ascii_digit()
-            && b.get(i + 1)
-                .is_some_and(|&n| n.is_ascii_digit() || n == b'+' || n == b'-')
-    })
-}
-
 /// Runs the taint analysis over `files` with the registered source
 /// classes and sanitizers. Spec rot (a source or sanitizer that resolves
 /// to nothing) is a hard error in both directions: a lost source narrows
 /// the certificate, a lost sanitizer widens the tainted set.
-pub fn certify(files: Vec<SourceFile>) -> Result<TaintAnalysis, String> {
+pub fn certify(files: &[SourceFile]) -> Result<TaintAnalysis, String> {
     certify_with(files, &SOURCE_CLASSES, &SANITIZERS)
 }
 
 /// [`certify`] with explicit registries, for fixture self-tests.
 pub fn certify_with(
-    files: Vec<SourceFile>,
+    files: &[SourceFile],
     classes: &[SourceClass],
     sanitizers: &[&str],
 ) -> Result<TaintAnalysis, String> {
-    let graph = CallGraph::build(&files);
+    let graph = CallGraph::build(files);
     let n = graph.items.len();
 
     // Sanitizer barrier set: every spec must resolve.
     let mut barrier = vec![false; n];
     let mut missing = Vec::new();
-    let mut sanitizer_fns = 0usize;
     for spec in sanitizers {
         let resolved = graph.resolve_entry(spec);
         if resolved.is_empty() {
             missing.push((*spec).to_string());
         }
-        sanitizer_fns += resolved.len();
         for i in resolved {
             barrier[i] = true;
         }
@@ -406,18 +297,16 @@ pub fn certify_with(
     // (return-value taint), and fns matching a source token pattern.
     let mut tainted: Vec<Option<usize>> = vec![None; n];
     let mut parent: Vec<Option<usize>> = vec![None; n];
-    let mut seeds_per_class = vec![0usize; classes.len()];
     let mut queue = std::collections::VecDeque::new();
-    let mut seed = |i: usize,
-                    c: usize,
-                    p: usize,
-                    tainted: &mut Vec<Option<usize>>,
-                    parent: &mut Vec<Option<usize>>,
-                    queue: &mut std::collections::VecDeque<usize>| {
+    let seed = |i: usize,
+                c: usize,
+                p: usize,
+                tainted: &mut Vec<Option<usize>>,
+                parent: &mut Vec<Option<usize>>,
+                queue: &mut std::collections::VecDeque<usize>| {
         if !barrier[i] && tainted[i].is_none() && graph.items[i].certified() {
             tainted[i] = Some(c);
             parent[i] = Some(p);
-            seeds_per_class[c] += 1;
             queue.push_back(i);
         }
     };
@@ -464,7 +353,7 @@ pub fn certify_with(
                 seed(i, c, i, &mut tainted, &mut parent, &mut queue);
             }
         }
-        if !class_hit && !class.allow_empty {
+        if !class_hit {
             return Err(format!(
                 "source class `{}` matched nothing — sources moved or renamed?",
                 class.name
@@ -491,13 +380,7 @@ pub fn certify_with(
         graph,
         tainted,
         parent,
-        class_names: classes.iter().map(|c| c.name.to_string()).collect(),
-        seeds_per_class,
-        sanitizer_fns,
-        summary: Summary {
-            files_scanned: files.len(),
-            ..Summary::default()
-        },
+        summary: Summary::default(),
     };
     let mut findings = Vec::new();
     for i in 0..n {
@@ -534,190 +417,35 @@ pub fn certify_with(
             });
         }
     }
-    findings.sort_by(|a, b| {
-        (&a.file, a.line, a.col)
-            .cmp(&(&b.file, b.line, b.col))
-            .then_with(|| a.message.cmp(&b.message))
-    });
+    sort_findings(&mut findings);
     analysis.summary.findings = findings;
     Ok(analysis)
 }
 
-struct Options {
-    format: Format,
-    list_sources: bool,
-    update_baseline: bool,
-    deny_stale: bool,
-    help: bool,
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        format: Format::Human,
-        list_sources: false,
-        update_baseline: false,
-        deny_stale: false,
-        help: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => {
-                let value = it.next().ok_or("--format needs a value: human or json")?;
-                opts.format = report::parse_format(value)?;
-            }
-            "--list-sources" => opts.list_sources = true,
-            "--update-baseline" => opts.update_baseline = true,
-            "--deny-stale" => opts.deny_stale = true,
-            "-h" | "--help" => opts.help = true,
-            other => {
-                if let Some(value) = other.strip_prefix("--format=") {
-                    opts.format = report::parse_format(value)?;
-                } else {
-                    return Err(format!("unknown argument `{other}`"));
-                }
-            }
-        }
-    }
-    Ok(opts)
-}
-
-/// CLI entry: `cargo xtask taint [options]`.
-pub fn run(args: &[String]) -> ExitCode {
-    let opts = match parse_args(args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.help {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if opts.list_sources {
-        for class in &SOURCE_CLASSES {
-            for spec in class.specs {
-                println!("{:<16} {spec}", class.name);
-            }
-            for pattern in class.patterns {
-                println!("{:<16} pattern {pattern}(", class.name);
-            }
-            if class.specs.is_empty() && class.patterns.is_empty() {
-                println!("{:<16} (reserved — registers nothing yet)", class.name);
-            }
-        }
-        for s in SANITIZERS {
-            println!("sanitizer        {s}");
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let files = report::load_files(&crate::entrypoints::TAINT_DIRS);
-    let analysis = match certify(files) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let classes = analysis
-        .class_names
-        .iter()
-        .zip(&analysis.seeds_per_class)
-        .map(|(name, &n)| (name.clone(), Json::Num(to_f64(n))))
-        .collect();
-    let extras = vec![
-        (
-            "tainted_fns".to_string(),
-            Json::Num(to_f64(analysis.tainted.iter().flatten().count())),
-        ),
-        (
-            "sanitizer_fns".to_string(),
-            Json::Num(to_f64(analysis.sanitizer_fns)),
-        ),
-        ("source_classes".to_string(), Json::Obj(classes)),
-    ];
-    report::finish(
-        "cargo-xtask-taint",
-        &[Rule::Taint.key()],
-        &analysis.summary,
-        opts.update_baseline,
-        opts.deny_stale,
-        opts.format,
-        extras,
-        |ratchet| print_report(&analysis, ratchet),
-    )
-}
-
-fn print_report(a: &TaintAnalysis, ratchet: &Ratchet) {
-    let certified = a.graph.items.iter().filter(|i| i.certified()).count();
-    let tainted = a.tainted.iter().flatten().count();
-    println!(
-        "cargo xtask taint — {} files, {} certified fns, {} tainted via {} source class(es), {} sanitizer barrier fn(s)",
-        a.summary.files_scanned,
-        certified,
-        tainted,
-        a.class_names.len(),
-        a.sanitizer_fns
-    );
-    for (name, &seeds) in a.class_names.iter().zip(&a.seeds_per_class) {
-        if seeds == 0 {
-            println!("  source class {name:<16} → no sources (reserved)");
-        } else {
-            println!("  source class {name:<16} → {seeds} seeded fn(s)");
-        }
-    }
-    let justified = a
-        .summary
-        .justified
-        .get(Rule::Taint.key())
-        .copied()
-        .unwrap_or(0);
-    println!(
-        "  {} new finding(s), {} baselined, {} justified via TAINT-OK",
-        ratchet.new.len(),
-        ratchet.baselined.len(),
-        justified
-    );
-    if !ratchet.new.is_empty() {
-        println!();
-        for f in &ratchet.new {
-            println!("{f}");
-            if !f.snippet.is_empty() {
-                println!("    {}", f.snippet);
-            }
-        }
-        println!("\n{} unjustified source→sink flow(s)", ratchet.new.len());
-    }
-    print_stale(ratchet);
-}
-
 // ---------------------------------------------------------------------------
 // Self-tests: planted source→sink chains, sanitizer barriers, the
-// justification grammar end-to-end, registry-rot errors, and the live
-// workspace certificate (including agreement with the snapshot fuzz
-// suite's corruption coverage).
+// justification grammar end-to-end, registry-rot errors, and agreement
+// with the snapshot fuzz suite's corruption coverage.
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline::{Baseline, BaselineEntry};
-    use crate::lint::workspace_root;
-    use crate::report::BASELINE_FILE;
+    use crate::certifier::within;
+    use crate::entrypoints::{STEADY_ENTRIES, TAINT_DIRS};
+    use crate::lint::{load_sources, workspace_root};
+    use crate::rules::is_float_literal;
 
     const BYTES_ONLY: [SourceClass; 1] = [SourceClass {
         name: "snapshot-bytes",
         specs: &["SnapshotFile::u32s"],
         patterns: &[],
-        allow_empty: false,
     }];
 
     fn analyze(src: &str, classes: &[SourceClass], sanitizers: &[&str]) -> TaintAnalysis {
         certify_with(
-            vec![SourceFile::from_source("fixture.rs", src)],
+            &[SourceFile::from_source("fixture.rs", src)],
             classes,
             sanitizers,
         )
@@ -821,7 +549,6 @@ fn decode(f: &SnapshotFile) -> u32 {
             name: "cli-path",
             specs: &[],
             patterns: &["fs::read"],
-            allow_empty: false,
         }];
         let src = "\
 fn cmd_load(path: &str) -> u8 {
@@ -904,33 +631,44 @@ fn decode(f: &SnapshotFile) -> u32 {
     }
 
     #[test]
-    fn registry_rot_is_a_hard_error_and_reserved_classes_may_be_empty() {
-        let src = "fn f() {}";
-        let files = || vec![SourceFile::from_source("fixture.rs", src)];
+    fn float_clearing_needs_an_immediate_float_operand() {
+        // Casting the sum, or a checked call elsewhere in the statement,
+        // leaves the `+` itself unchecked offset arithmetic.
+        let src = "\
+impl SnapshotFile {
+    fn u32s(&self) -> Vec<u32> { Vec::new() }
+}
+fn decode(f: &SnapshotFile) -> f64 {
+    let off = f.u32s().len();
+    let a = (off + off) as f64;
+    let b = off.checked_add(1).unwrap_or(0) + off;
+    let c = off as f64 + 0.5;
+    c
+}
+";
+        let a = analyze(src, &BYTES_ONLY, &[]);
+        let lines: Vec<usize> = a.summary.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![6, 7], "{:?}", a.summary.findings);
+    }
+
+    #[test]
+    fn registry_rot_is_a_hard_error() {
+        let files = [SourceFile::from_source("fixture.rs", "fn f() {}")];
         let gone: [SourceClass; 1] = [SourceClass {
             name: "snapshot-bytes",
             specs: &["SnapshotFile::gone"],
             patterns: &[],
-            allow_empty: false,
         }];
-        let err = certify_with(files(), &gone, &[]).unwrap_err();
+        let err = certify_with(&files, &gone, &[]).unwrap_err();
         assert!(err.contains("source spec"), "{err}");
         let silent: [SourceClass; 1] = [SourceClass {
             name: "cli-path",
             specs: &[],
             patterns: &["fs::read"],
-            allow_empty: false,
         }];
-        let err = certify_with(files(), &silent, &[]).unwrap_err();
+        let err = certify_with(&files, &silent, &[]).unwrap_err();
         assert!(err.contains("matched nothing"), "{err}");
-        let reserved: [SourceClass; 1] = [SourceClass {
-            name: "network",
-            specs: &[],
-            patterns: &[],
-            allow_empty: true,
-        }];
-        assert!(certify_with(files(), &reserved, &[]).is_ok());
-        let err = certify_with(files(), &reserved, &["Gone::sanitize"]).unwrap_err();
+        let err = certify_with(&files, &[], &["Gone::sanitize"]).unwrap_err();
         assert!(err.contains("sanitizer spec"), "{err}");
     }
 
@@ -973,39 +711,8 @@ fn decode(f: &SnapshotFile) -> u32 {
     // -- live workspace ----------------------------------------------------
 
     fn live() -> TaintAnalysis {
-        certify(report::load_files(&crate::entrypoints::TAINT_DIRS))
+        certify(&within(&load_sources(&workspace_root()), &TAINT_DIRS))
             .expect("live source/sanitizer registries resolve")
-    }
-
-    #[test]
-    fn live_workspace_flows_are_sanitized_or_justified() {
-        let a = live();
-        let baseline = Baseline::load(&workspace_root().join(BASELINE_FILE)).expect("baseline");
-        let taint_entries: Vec<_> = baseline
-            .entries
-            .into_iter()
-            .filter(|e| e.rule == Rule::Taint.key())
-            .collect();
-        let ratchet = Baseline {
-            note: String::new(),
-            entries: taint_entries,
-        }
-        .apply(&a.summary.findings);
-        assert!(
-            ratchet.new.is_empty(),
-            "unjustified source→sink flows:\n{}",
-            ratchet
-                .new
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        assert!(
-            ratchet.stale.is_empty(),
-            "stale taint baseline entries: {:?}",
-            ratchet.stale
-        );
     }
 
     /// Fuzz-agreement regression (the static certificate must cover what
@@ -1040,7 +747,7 @@ fn decode(f: &SnapshotFile) -> u32 {
         }
         // The serving side stays clean: taint must not leak across the
         // sanitizer constructors into the query processors.
-        for spec in crate::entrypoints::STEADY_ENTRIES {
+        for spec in STEADY_ENTRIES {
             if spec == "SnapshotFile::validate" {
                 continue; // the validator is a sanitizer, not a serving path
             }
